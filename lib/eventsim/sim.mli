@@ -10,20 +10,15 @@
     reusable [int -> unit] callback plus an unboxed [int] argument);
     the schedule stores only cell ids. Scheduling through {!at_fn} with
     a long-lived callback is therefore allocation free in steady state —
-    this is the hot path used by the packet-level scenario runner. *)
+    this is the hot path used by the packet-level scenario runner.
+
+    One run loop merges three sources by [(time, seq)]: a hierarchical
+    timing wheel (O(1) insert/extract) for near-future {!at_fn} events,
+    a binary heap for thunks, cancellables and events beyond the
+    wheel's horizon, and caller-owned {!lane}s. Which source holds an
+    event never changes when it fires. *)
 
 type t
-
-(** Scheduling backend for the {!at_fn} fast path.
-
-    [Heap_kernel] (the default) keeps every event in the SoA binary
-    heap — bit-compatible with the historical single-heap kernel.
-    [Wheel_kernel] routes near-future [at_fn] events into a hierarchical
-    timing wheel (O(1) insert/extract) and enables {!lane} scheduling;
-    far-future events, thunks and cancellables stay on the heap. Both
-    kernels fire the same schedule in the same order — the wheel kernel
-    is a performance choice, not a semantic one. *)
-type kernel = Heap_kernel | Wheel_kernel
 
 (** {2 Supervision}
 
@@ -73,10 +68,9 @@ val set_guard : t -> guard -> unit
 
 val guard : t -> guard
 
-val create : ?kernel:kernel -> unit -> t
-(** Fresh simulation with the clock at 0. *)
-
-val kernel : t -> kernel
+val create : unit -> t
+(** Fresh simulation with the clock at 0. Allocates only minor-heap
+    blocks: the wheel's slot tables stay within [Max_young_wosize]. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -159,7 +153,7 @@ val cancel : cancel -> unit
     half the queued events are dead the queue is compacted in place, so
     cancel-heavy workloads (timer wheels, retransmission timers) do not
     retain dead entries until their nominal fire time. Cancellable
-    events always live on the heap, under either kernel. *)
+    events always live on the heap. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing the clock. With [?until], stop
@@ -191,10 +185,10 @@ val max_queued : t -> int
 (** High-water mark of the event queue length. *)
 
 val wheel_ticks : t -> int
-(** Timing-wheel cursor advances. 0 under [Heap_kernel]. *)
+(** Timing-wheel cursor advances. *)
 
 val wheel_cascades : t -> int
-(** Non-empty level-1 wheel slot refills. 0 under [Heap_kernel]. *)
+(** Non-empty level-1 wheel slot refills. *)
 
 val wheel_max_occupancy : t -> int
-(** High-water mark of wheel occupancy. 0 under [Heap_kernel]. *)
+(** High-water mark of wheel occupancy. *)

@@ -61,7 +61,7 @@ type t = {
 
 let fresh_slot () = { ts = [||]; qs = [||]; ids = [||]; n = 0 }
 
-let create ?(tick = 1e-3) ?(slots = 512) () =
+let create ?(tick = 1e-3) ?(slots = 256) () =
   if tick <= 0.0 then invalid_arg "Wheel.create: tick must be positive";
   if slots < 2 then invalid_arg "Wheel.create: need at least 2 slots";
   let empty = fresh_slot () in

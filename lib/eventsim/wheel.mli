@@ -20,8 +20,11 @@ type t
 
 val create : ?tick:float -> ?slots:int -> unit -> t
 (** [tick] (default 1e-3 s) is the slot granularity, [slots] (default
-    512) the per-level slot count. @raise Invalid_argument when [tick
-    <= 0] or [slots < 2]. *)
+    256, a horizon of about 65 s) the per-level slot count. At the
+    default each level's slot table is a 256-word block, which the
+    runtime still allocates on the minor heap; a larger table goes
+    straight to the major heap on every [create]. @raise
+    Invalid_argument when [tick <= 0] or [slots < 2]. *)
 
 val horizon : t -> float
 (** Relative-time span (seconds) the two levels cover without

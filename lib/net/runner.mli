@@ -29,7 +29,6 @@ type flow
 val create :
   ?seed:int ->
   ?trace:Proteus_obs.Trace.t ->
-  ?kernel:Proteus_eventsim.Sim.kernel ->
   Link.config ->
   t
 (** Fresh classic scenario over a single bottleneck link — shorthand for
@@ -43,25 +42,19 @@ val create :
     control flow, so seeded runs are bit-identical with tracing on or
     off.
 
-    [kernel] selects the event-kernel backend (default
-    [Sim.Heap_kernel], bit-identical to the historical runner). Under
-    [Sim.Wheel_kernel] the runner schedules packet-path events through
-    per-link lanes and a hierarchical timing wheel and runs post-ACK
-    polls inline when no other event is due — the same events fire in
-    the same order at the same times, substantially faster; only the
-    kernel's internal bookkeeping (and thus counters like
-    [events_scheduled]) differs. *)
+    Packet-path events ride one {!Proteus_eventsim.Sim.lane} per link,
+    and a post-ACK send poll runs inline when no other event is due at
+    the current instant. Both keep the exact (time, seq) firing order
+    of plain scheduling; they only save kernel round-trips. *)
 
 val create_topo :
   ?seed:int ->
   ?trace:Proteus_obs.Trace.t ->
-  ?kernel:Proteus_eventsim.Sim.kernel ->
   Topology.t ->
   t
 (** Fresh scenario over a {!Topology}. Links are instantiated in id
     order, each with its own stream split from the seed, so a
-    [Topology.dumbbell] reproduces {!create} bit-for-bit. [kernel] as
-    in {!create}. *)
+    [Topology.dumbbell] reproduces {!create} bit-for-bit. *)
 
 val sim : t -> Proteus_eventsim.Sim.t
 

@@ -3,7 +3,7 @@
    packet-level simulator. Everything here reuses the constructors the
    hand-written bench experiments call — a spec-driven run of a
    scenario is bit-identical to its hand-written twin given the same
-   seed and kernel (test_scenario pins this with golden digests). *)
+   seed (test_scenario pins this with golden digests). *)
 
 module Net = Proteus_net
 module Topology = Net.Topology
@@ -47,9 +47,9 @@ let route_for topo (t : Spec.t) (r : Spec.route) =
            ~fwd:(List.init n (fun i -> (2 * n) - 1 - i))
            ~rev:(List.init n (fun i -> i)))
 
-let instantiate ?trace ?kernel ~seed (t : Spec.t) =
+let instantiate ?trace ~seed (t : Spec.t) =
   let topo = topology t in
-  let r = Runner.create_topo ?trace ?kernel ~seed topo in
+  let r = Runner.create_topo ?trace ~seed topo in
   let declared =
     List.map
       (fun (f : Spec.flow) ->
@@ -123,8 +123,8 @@ let metric_values (t : Spec.t) flows =
       (Spec.metric_name m, v))
     t.metrics
 
-let run_metrics ?trace ?kernel ?(audit = true) ?arm ~seed (t : Spec.t) =
-  let r, flows = instantiate ?trace ?kernel ~seed t in
+let run_metrics ?trace ?(audit = true) ?arm ~seed (t : Spec.t) =
+  let r, flows = instantiate ?trace ~seed t in
   (match arm with Some f -> f r | None -> ());
   let _aud = if audit then Some (Runner.attach_audit r) else None in
   Runner.run r ~until:t.duration;

@@ -3,7 +3,7 @@
     Specs are compiled through the same {!Proteus_net.Topology} /
     {!Proteus_net.Runner} constructors the hand-written bench
     experiments use, so a spec-driven run is bit-identical to its
-    hand-written twin given the same seed and kernel. *)
+    hand-written twin given the same seed. *)
 
 val topology : Spec.t -> Proteus_net.Topology.t
 (** The spec's topology with fluid aggregate classes attached. Raises
@@ -12,7 +12,6 @@ val topology : Spec.t -> Proteus_net.Topology.t
 
 val instantiate :
   ?trace:Proteus_obs.Trace.t ->
-  ?kernel:Proteus_eventsim.Sim.kernel ->
   seed:int ->
   Spec.t ->
   Proteus_net.Runner.t * (string * Proteus_net.Runner.flow) list
@@ -31,7 +30,6 @@ val metric_values :
 
 val run_metrics :
   ?trace:Proteus_obs.Trace.t ->
-  ?kernel:Proteus_eventsim.Sim.kernel ->
   ?audit:bool ->
   ?arm:(Proteus_net.Runner.t -> unit) ->
   seed:int ->

@@ -4,8 +4,8 @@
    boxed Sender interface — register init, update/report ordering,
    volatile reset, loss-trigger edges, interval triggers, NaN-window
    safety; (2) golden digest parity: cubic-dp and ledbat-dp must be
-   byte-identical to their monolithic twins on an impaired dumbbell and
-   a 3-hop chain, under both kernels, sequentially and across a
+   byte-identical to their monolithic twins and to committed goldens on
+   an impaired dumbbell and a 3-hop chain, sequentially and across a
    4-domain pool; (3) a QCheck property fuzzing random well-typed fold
    programs through an audited run — the auditor's conservation laws
    must hold and the adapter must never emit a NaN next-send time. *)
@@ -15,7 +15,6 @@ module Link = Net.Link
 module Topology = Net.Topology
 module Sender = Net.Sender
 module Rng = Proteus_stats.Rng
-module Sim = Proteus_eventsim.Sim
 module Dp = Proteus.Datapath
 module Pool = Proteus_parallel.Pool
 
@@ -243,10 +242,8 @@ let impaired_cfg () =
       ]
     ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
 
-let run_dumbbell ~kernel ~seed factory =
-  let r =
-    Net.Runner.create_topo ~seed ~kernel (Topology.dumbbell (impaired_cfg ()))
-  in
+let run_dumbbell ~seed factory =
+  let r = Net.Runner.create_topo ~seed (Topology.dumbbell (impaired_cfg ())) in
   let a = Net.Runner.add_flow r ~label:"dut" ~factory in
   let b =
     Net.Runner.add_flow r ~start:1.0 ~label:"peer"
@@ -264,9 +261,9 @@ let chain_links () =
     Link.config ~bandwidth_mbps:25.0 ~rtt_ms:10.0 ~buffer_bytes:120_000 ();
   ]
 
-let run_chain ~kernel ~seed factory =
+let run_chain ~seed factory =
   let topo = Topology.chain (chain_links ()) in
-  let r = Net.Runner.create_topo ~seed ~kernel topo in
+  let r = Net.Runner.create_topo ~seed topo in
   let route = Topology.chain_route topo in
   let a = Net.Runner.add_flow r ~route ~label:"dut" ~factory in
   let b =
@@ -277,37 +274,61 @@ let run_chain ~kernel ~seed factory =
   Net.Runner.run r ~until:8.0;
   flow_digest a ^ " | " ^ flow_digest b
 
-let check_parity ~what run mono dp =
-  List.iter
-    (fun (kname, kernel) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s (%s kernel)" what kname)
-        (run ~kernel ~seed:11 mono) (run ~kernel ~seed:11 dp))
-    [ ("heap", Sim.Heap_kernel); ("wheel", Sim.Wheel_kernel) ]
+(* Captured from the heap-only event loop (every event in the binary
+   heap, no lanes, no inline polls) before it was retired. Monolithic
+   controllers and their fold twins must both reproduce them. *)
+let cubic_dumbbell_golden =
+  "dut sent=3240 acked=3061 lost=149 dup=68 bytes=4591500 rtt_n=3061 rtt_sum=153.80627424776685 first=0.030599999999999999 last=7.9800650659416075 done=- | \
+   peer sent=2057 acked=1973 lost=69 dup=24 bytes=2959500 rtt_n=1973 rtt_sum=107.53620872110325 first=1.0310650659421525 last=7.9992650659416054 done=-"
+
+let cubic_chain_golden =
+  "dut sent=3300 acked=3109 lost=175 dup=0 bytes=4663500 rtt_n=3109 rtt_sum=160.34555359999842 first=0.041930133333333335 last=7.9737829333332275 done=- | \
+   peer sent=1748 acked=1716 lost=25 dup=0 bytes=2574000 rtt_n=1716 rtt_sum=72.314567466665039 first=1.0423712000000001 last=7.9907130666665518 done=-"
+
+let ledbat_dumbbell_golden =
+  "dut sent=3140 acked=2991 lost=118 dup=54 bytes=4486500 rtt_n=2991 rtt_sum=162.59353679503937 first=0.030599999999999999 last=7.9975999999995091 done=- | \
+   peer sent=1589 acked=1491 lost=75 dup=30 bytes=2236500 rtt_n=1491 rtt_sum=91.647063847980888 first=1.0306 last=7.9375999999995157 done=-"
+
+let ledbat_chain_golden =
+  "dut sent=2663 acked=2620 lost=26 dup=0 bytes=3930000 rtt_n=2620 rtt_sum=114.90102239999911 first=0.041930133333333335 last=7.9999898666665397 done=- | \
+   peer sent=2374 acked=2297 lost=66 dup=0 bytes=3445500 rtt_n=2297 rtt_sum=117.62221386666292 first=1.0419301333333326 last=7.9759898666665316 done=-"
+
+let ledbat25_dumbbell_golden =
+  "dut sent=2815 acked=2678 lost=121 dup=53 bytes=4017000 rtt_n=2678 rtt_sum=121.9184363750077 first=0.030599999999999999 last=7.9977861613856822 done=- | \
+   peer sent=1826 acked=1729 lost=68 dup=30 bytes=2593500 rtt_n=1729 rtt_sum=101.92724698190695 first=1.0308000000000019 last=7.9857861613856835 done=-"
+
+let check_parity ~what ~golden run mono dp =
+  Alcotest.(check string) (what ^ ": monolithic") golden (run ~seed:11 mono);
+  Alcotest.(check string) (what ^ ": fold twin") golden (run ~seed:11 dp)
 
 let test_cubic_parity_dumbbell () =
-  check_parity ~what:"cubic-dp == cubic on dumbbell" run_dumbbell
+  check_parity ~what:"cubic-dp == cubic on dumbbell"
+    ~golden:cubic_dumbbell_golden run_dumbbell
     (Proteus_cc.Cubic.factory ())
     (Proteus_cc.Cubic_dp.factory ())
 
 let test_cubic_parity_chain () =
-  check_parity ~what:"cubic-dp == cubic on 3-hop chain" run_chain
+  check_parity ~what:"cubic-dp == cubic on 3-hop chain"
+    ~golden:cubic_chain_golden run_chain
     (Proteus_cc.Cubic.factory ())
     (Proteus_cc.Cubic_dp.factory ())
 
 let test_ledbat_parity_dumbbell () =
-  check_parity ~what:"ledbat-dp == ledbat on dumbbell" run_dumbbell
+  check_parity ~what:"ledbat-dp == ledbat on dumbbell"
+    ~golden:ledbat_dumbbell_golden run_dumbbell
     (Proteus_cc.Ledbat.factory ())
     (Proteus_cc.Ledbat_dp.factory ())
 
 let test_ledbat_parity_chain () =
-  check_parity ~what:"ledbat-dp == ledbat on 3-hop chain" run_chain
+  check_parity ~what:"ledbat-dp == ledbat on 3-hop chain"
+    ~golden:ledbat_chain_golden run_chain
     (Proteus_cc.Ledbat.factory ())
     (Proteus_cc.Ledbat_dp.factory ())
 
 let test_ledbat25_const_override_parity () =
   (* (const target 0.025) from a scenario reproduces ledbat-25. *)
-  check_parity ~what:"ledbat-dp const target == ledbat-25" run_dumbbell
+  check_parity ~what:"ledbat-dp const target == ledbat-25"
+    ~golden:ledbat25_dumbbell_golden run_dumbbell
     (Proteus_cc.Ledbat.factory ~params:Proteus_cc.Ledbat.draft_25ms ())
     (Proteus_cc.Ledbat_dp.factory
        ~consts:[ ("target", Net.Units.ms 25.0) ]
@@ -316,7 +337,8 @@ let test_ledbat25_const_override_parity () =
 let test_interval_reports_behavior_neutral () =
   (* An (interval T) override adds trace-visible reports but must not
      perturb the packet schedule. *)
-  check_parity ~what:"cubic-dp with interval reports == cubic" run_dumbbell
+  check_parity ~what:"cubic-dp with interval reports == cubic"
+    ~golden:cubic_dumbbell_golden run_dumbbell
     (Proteus_cc.Cubic.factory ())
     (Proteus_cc.Cubic_dp.factory ~interval:0.5 ())
 
@@ -325,9 +347,9 @@ let test_interval_reports_behavior_neutral () =
 let test_jobs4_determinism () =
   let seeds = [ 3; 11; 42; 97 ] in
   let run seed =
-    run_dumbbell ~kernel:Sim.Wheel_kernel ~seed (Proteus_cc.Cubic_dp.factory ())
+    run_dumbbell ~seed (Proteus_cc.Cubic_dp.factory ())
     ^ " || "
-    ^ run_chain ~kernel:Sim.Heap_kernel ~seed (Proteus_cc.Ledbat_dp.factory ())
+    ^ run_chain ~seed (Proteus_cc.Ledbat_dp.factory ())
   in
   let sequential = List.map run seeds in
   let pool = Pool.create ~jobs:4 in
