@@ -1,4 +1,5 @@
 module Sender = Proteus_net.Sender
+module Seq_table = Proteus_net.Seq_table
 module Units = Proteus_net.Units
 module Rng = Proteus_stats.Rng
 module Trace = Proteus_obs.Trace
@@ -101,16 +102,13 @@ type t = {
   mutable last_start_sample : (float * float) option; (* rate, utility *)
   planned : (float * tag) Queue.t;
   mutable current_mi : (Mi.t * tag) option;
-  (* In-flight seq -> (MI, tag), as a power-of-two direct-mapped table:
-     slot = seq land (cap - 1), seqs.(i) = -1 marks an empty slot. Live
-     seqs span one congestion window, far fewer than the capacity, so
-     collisions are rare; on collision the table doubles until the live
-     set maps injectively (distinct ints always separate under a wide
-     enough mask). Replaces a per-packet Hashtbl on the ACK hot path. *)
-  mutable sm_seqs : int array;
-  mutable sm_mis : Mi.t array;
-  mutable sm_tags : tag array;
-  sm_dummy : Mi.t;
+  (* In-flight seq -> the pair stored in [current_mi] when it was sent. *)
+  in_flight : (Mi.t * tag) Seq_table.t;
+  (* Free list of finished MIs: their sample buffers are reused by the
+     next MIs, so steady state allocates no sample storage. Per
+     controller, so that controllers running on different domains share
+     nothing. *)
+  mutable free_mis : Mi.t list;
   pending_results : (int, tag * Mi.metrics) Hashtbl.t;
   mutable next_mi_id : int;
   mutable next_result_id : int;
@@ -125,7 +123,7 @@ let max_rate t = Units.mbps_to_bytes_per_sec t.config.max_rate_mbps
 let clamp_rate t r = Float.min (max_rate t) (Float.max (min_rate t) r)
 
 let create (config : config) (env : Sender.env) =
-  let sm_dummy = Mi.create ~id:(-1) ~target_rate:1.0 ~start_time:0.0 in
+  let dummy = Mi.create ~id:(-1) ~target_rate:1.0 ~start_time:0.0 in
   {
     utility = config.utility;
     config;
@@ -143,10 +141,8 @@ let create (config : config) (env : Sender.env) =
     last_start_sample = None;
     planned = Queue.create ();
     current_mi = None;
-    sm_seqs = Array.make 256 (-1);
-    sm_mis = Array.make 256 sm_dummy;
-    sm_tags = Array.make 256 Start;
-    sm_dummy;
+    in_flight = Seq_table.create (dummy, Start);
+    free_mis = [];
     pending_results = Hashtbl.create 16;
     next_mi_id = 0;
     next_result_id = 0;
@@ -369,9 +365,23 @@ let process_pending t =
     | None -> continue := false
   done
 
+(* Only a finished MI is recycled: one that is complete (no seq in
+   [in_flight] maps to it any more) and is no longer [current_mi]. *)
+let recycle_mi t mi = t.free_mis <- mi :: t.free_mis
+
+let new_mi t ~id ~target_rate ~start_time =
+  match t.free_mis with
+  | [] -> Mi.create ~id ~target_rate ~start_time
+  | mi :: rest ->
+      t.free_mis <- rest;
+      Mi.reset mi ~id ~target_rate ~start_time;
+      mi
+
 let complete_mi t mi tag =
   let m = Tolerance.adjust t.tolerance (Mi.metrics mi) in
-  Hashtbl.replace t.pending_results (Mi.id mi) (tag, m);
+  let id = Mi.id mi in
+  recycle_mi t mi;
+  Hashtbl.replace t.pending_results id (tag, m);
   process_pending t
 
 let check_complete t mi tag = if Mi.is_complete mi then complete_mi t mi tag
@@ -396,11 +406,17 @@ let close_current t ~now =
       t.current_mi <- None;
       if Mi.packets_sent mi = 0 then begin
         (* Nothing was sent in this MI: drop it from the result order. *)
-        if Mi.id mi = t.next_result_id then begin
+        let id = Mi.id mi in
+        if id = t.next_result_id then begin
+          recycle_mi t mi;
           t.next_result_id <- t.next_result_id + 1;
           process_pending t
         end
-        else Hashtbl.replace t.pending_results (Mi.id mi) (Filler, Mi.metrics mi)
+        else begin
+          let m = Mi.metrics mi in
+          recycle_mi t mi;
+          Hashtbl.replace t.pending_results id (Filler, m)
+        end
       end
       else check_complete t mi tag
   | None -> ()
@@ -412,7 +428,7 @@ let start_new_mi t ~now =
     else Queue.pop t.planned
   in
   let rate = clamp_rate t rate in
-  let mi = Mi.create ~id:t.next_mi_id ~target_rate:rate ~start_time:now in
+  let mi = new_mi t ~id:t.next_mi_id ~target_rate:rate ~start_time:now in
   t.next_mi_id <- t.next_mi_id + 1;
   t.current_mi <- Some (mi, tag);
   t.fl.(1) <- now +. mi_duration t ~rate;
@@ -434,53 +450,6 @@ let[@inline] close_if_expired t ~now =
   | Some _ when now >= t.fl.(1) -> close_current t ~now
   | _ -> ()
 
-(* ---------- in-flight seq map ---------- *)
-
-let sm_rehash t n =
-  let mask = n - 1 in
-  let seqs = Array.make n (-1) in
-  let mis = Array.make n t.sm_dummy in
-  let tags = Array.make n Start in
-  let ok = ref true in
-  let old_seqs = t.sm_seqs in
-  Array.iteri
-    (fun j k ->
-      if k >= 0 && !ok then begin
-        let i = k land mask in
-        if seqs.(i) = -1 then begin
-          seqs.(i) <- k;
-          mis.(i) <- t.sm_mis.(j);
-          tags.(i) <- t.sm_tags.(j)
-        end
-        else ok := false
-      end)
-    old_seqs;
-  if !ok then begin
-    t.sm_seqs <- seqs;
-    t.sm_mis <- mis;
-    t.sm_tags <- tags
-  end;
-  !ok
-
-let sm_grow t =
-  let n = ref (Array.length t.sm_seqs * 2) in
-  while not (sm_rehash t !n) do
-    n := !n * 2
-  done
-
-let rec sm_store t seq mi tag =
-  let i = seq land (Array.length t.sm_seqs - 1) in
-  let k = t.sm_seqs.(i) in
-  if k = seq || k = -1 then begin
-    t.sm_seqs.(i) <- seq;
-    t.sm_mis.(i) <- mi;
-    t.sm_tags.(i) <- tag
-  end
-  else begin
-    sm_grow t;
-    sm_store t seq mi tag
-  end
-
 (* ---------- Sender.S ---------- *)
 
 let next_send t ~now =
@@ -488,9 +457,9 @@ let next_send t ~now =
   t.fl.(4)
 
 let on_sent t ~now ~seq ~size =
-  let mi, tag = ensure_current_mi t ~now in
+  let ((mi, _) as p) = ensure_current_mi t ~now in
   Mi.record_sent mi ~size;
-  sm_store t seq mi tag;
+  Seq_table.replace t.in_flight seq p;
   t.fl.(4) <-
     Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
 
@@ -503,11 +472,10 @@ let[@inline] on_ack_impl t ~now ~seq ~send_time ~rtt =
     | None -> rtt
   in
   close_if_expired t ~now;
-  let i = seq land (Array.length t.sm_seqs - 1) in
-  if t.sm_seqs.(i) = seq then begin
-    let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
-    t.sm_seqs.(i) <- -1;
-    t.sm_mis.(i) <- t.sm_dummy;
+  let i = Seq_table.find_slot t.in_flight seq in
+  if i >= 0 then begin
+    let mi, tag = Seq_table.slot_value t.in_flight i in
+    Seq_table.remove_slot t.in_flight i;
     Mi.record_ack_sample mi ~send_time ~rtt:sample;
     check_complete t mi tag
   end
@@ -518,11 +486,10 @@ let on_ack t ~now ~seq ~send_time ~size:_ ~rtt =
 let[@inline] on_loss_impl t ~now ~seq =
   t.fl.(5) <- now;
   close_if_expired t ~now;
-  let i = seq land (Array.length t.sm_seqs - 1) in
-  if t.sm_seqs.(i) = seq then begin
-    let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
-    t.sm_seqs.(i) <- -1;
-    t.sm_mis.(i) <- t.sm_dummy;
+  let i = Seq_table.find_slot t.in_flight seq in
+  if i >= 0 then begin
+    let mi, tag = Seq_table.slot_value t.in_flight i in
+    Seq_table.remove_slot t.in_flight i;
     Mi.record_loss mi;
     check_complete t mi tag
   end
@@ -539,9 +506,9 @@ let next_send_m t ~meta =
 
 let on_sent_m t ~meta ~seq ~size =
   let now = meta.(0) in
-  let mi, tag = ensure_current_mi t ~now in
+  let ((mi, _) as p) = ensure_current_mi t ~now in
   Mi.record_sent mi ~size;
-  sm_store t seq mi tag;
+  Seq_table.replace t.in_flight seq p;
   t.fl.(4) <- Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
 
 let on_ack_m t ~meta ~seq ~size:_ =

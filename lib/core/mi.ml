@@ -15,9 +15,9 @@ type metrics = {
 }
 
 type t = {
-  id : int;
-  target_rate : float; (* bytes/sec *)
-  start_time : float;
+  mutable id : int;
+  mutable target_rate : float; (* bytes/sec *)
+  mutable start_time : float;
   mutable end_time : float;
   mutable sent : int;
   mutable sent_bytes : int;
@@ -42,6 +42,19 @@ let create ~id ~target_rate ~start_time =
     rtts = Fvec.create ~capacity:32 ();
     closed = false;
   }
+
+let reset t ~id ~target_rate ~start_time =
+  t.id <- id;
+  t.target_rate <- target_rate;
+  t.start_time <- start_time;
+  t.end_time <- start_time;
+  t.sent <- 0;
+  t.sent_bytes <- 0;
+  t.acked <- 0;
+  t.lost <- 0;
+  Fvec.clear t.send_times;
+  Fvec.clear t.rtts;
+  t.closed <- false
 
 let id t = t.id
 let target_rate t = t.target_rate
@@ -81,12 +94,14 @@ let metrics t =
     if n < 2 then
       ((if n = 1 then Fvec.get t.rtts 0 else 0.0), 0.0, 0.0, 0.0)
     else begin
-      let x = Fvec.to_array t.send_times in
-      let y = Fvec.to_array t.rtts in
-      let fit = Regression.fit ~x ~y in
-      ( Descriptive.mean y,
+      (* In place over the sample buffers, which a recycled MI may hold
+         stale entries past [n] in. *)
+      let x = Fvec.unsafe_data t.send_times in
+      let y = Fvec.unsafe_data t.rtts in
+      let fit = Regression.fit_prefix ~x ~y ~n in
+      ( Descriptive.mean_prefix y ~n,
         fit.Regression.slope,
-        Descriptive.stddev y,
+        Descriptive.stddev_prefix y ~n,
         fit.Regression.residual_rms /. duration )
     end
   in

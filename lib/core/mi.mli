@@ -28,6 +28,12 @@ type metrics = {
 val create : id:int -> target_rate:float -> start_time:float -> t
 (** [target_rate] in bytes/sec. *)
 
+val reset : t -> id:int -> target_rate:float -> start_time:float -> unit
+(** Turn a finished MI into a fresh one, as {!create} would make it, but
+    keeping its sample buffers' capacity: a controller recycles its MIs
+    once their metrics are taken, so steady state allocates no sample
+    storage. The caller must hold no other reference to the old MI. *)
+
 val id : t -> int
 val target_rate : t -> float
 val start_time : t -> float

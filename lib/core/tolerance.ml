@@ -43,55 +43,68 @@ let disabled =
 
 type t = {
   config : config;
-  (* Most recent [history] MIs' (mean RTT, RTT deviation), newest last. *)
-  mutable avg_rtts : float list;
-  mutable deviations : float list;
+  (* The most recent [n] (<= history) MIs' mean RTTs and RTT
+     deviations, oldest first, in fixed arrays that shift by one per
+     MI. [idx] holds the regression abscissae 1 .. history. *)
+  avg_rtts : float array;
+  deviations : float array;
+  idx : float array;
+  mutable n : int;
   trend_grad : Mean_dev.t;
   trend_dev : Mean_dev.t;
 }
 
 let create config =
+  let h = max 0 config.history in
   {
     config;
-    avg_rtts = [];
-    deviations = [];
+    avg_rtts = Array.make h 0.0;
+    deviations = Array.make h 0.0;
+    idx = Array.init h (fun i -> float_of_int (i + 1));
+    n = 0;
     trend_grad = Mean_dev.create ();
     trend_dev = Mean_dev.create ();
   }
 
-let push_bounded t x xs =
-  let xs = xs @ [ x ] in
-  let extra = List.length xs - t.config.history in
-  if extra > 0 then List.filteri (fun i _ -> i >= extra) xs else xs
+(* Append [x] as the newest of at most [history] stored values. *)
+let push_bounded t a x =
+  let h = Array.length a in
+  if h > 0 then
+    if t.n < h then a.(t.n) <- x
+    else begin
+      Array.blit a 1 a 0 (h - 1);
+      a.(h - 1) <- x
+    end
+
+(* Whether [sample] lies [gate] EWMA-deviations from the tracker's
+   moving average (one- or two-sided), judged before folding it in. *)
+let[@inline] significant tracker sample ~gate ~two_sided =
+  let avg = Mean_dev.mean_nan tracker and dev = Mean_dev.deviation_nan tracker in
+  let result =
+    Mean_dev.n_samples tracker >= 3
+    && (not (Float.is_nan avg))
+    && (not (Float.is_nan dev))
+    &&
+    let delta = if two_sided then Float.abs (sample -. avg) else sample -. avg in
+    delta >= gate *. dev
+  in
+  Mean_dev.update tracker sample;
+  result
 
 (* Returns (trending_gradient significant, trending_deviation
    significant) for the MI just folded in. Until the EWMA trackers have
    seen enough samples the trend is treated as insignificant, deferring
    to the per-MI gate. *)
 let update_trending t (m : Mi.metrics) =
-  t.avg_rtts <- push_bounded t m.Mi.avg_rtt t.avg_rtts;
-  t.deviations <- push_bounded t m.Mi.rtt_deviation t.deviations;
-  if List.length t.avg_rtts < 2 then (false, false)
+  push_bounded t t.avg_rtts m.Mi.avg_rtt;
+  push_bounded t t.deviations m.Mi.rtt_deviation;
+  t.n <- min (t.n + 1) (Array.length t.avg_rtts);
+  if t.n < 2 then (false, false)
   else begin
     let trending_gradient =
-      Regression.slope_of_indexed (Array.of_list t.avg_rtts)
+      (Regression.fit_prefix ~x:t.idx ~y:t.avg_rtts ~n:t.n).Regression.slope
     in
-    let trending_deviation =
-      Descriptive.stddev (Array.of_list t.deviations)
-    in
-    let significant tracker sample ~gate ~two_sided =
-      let result =
-        match (Mean_dev.mean tracker, Mean_dev.deviation tracker) with
-        | Some avg, Some dev when Mean_dev.n_samples tracker >= 3 ->
-            let delta =
-              if two_sided then Float.abs (sample -. avg) else sample -. avg
-            in
-            delta >= gate *. dev
-        | _ -> false
-      in
-      Mean_dev.update tracker sample;
-      result
-    in
+    let trending_deviation = Descriptive.stddev_prefix t.deviations ~n:t.n in
     let grad_sig =
       significant t.trend_grad trending_gradient ~gate:t.config.g1
         ~two_sided:true

@@ -307,7 +307,8 @@ let grow_lane l =
   l.larg <- na;
   l.head <- 0
 
-let[@inline] lane_push t lane ~time ~seq ~fn ~arg =
+let[@inline] lane_push t lane ~time ~fn ~arg =
+  let seq = reserve_seq t in
   let time = if time < t.fl.(0) then t.fl.(0) else time in
   let l = t.lanes.(lane) in
   let cap = Array.length l.lt in

@@ -95,10 +95,9 @@ val at_fn : t -> time:float -> fn:(int -> unit) -> arg:int -> unit
     run loop — an SoA ring buffer that skips both the cell pool and the
     heap/wheel. Intended for event sources that are naturally (almost)
     time-ordered, e.g. one lane per network link whose delivery times
-    are nondecreasing. The caller reserves the global sequence number
-    ({!reserve_seq}) at the exact program point where {!at_fn} would
-    have been called, so lane events keep their deterministic position
-    in the global (time, seq) order. A push that would violate the
+    are nondecreasing. {!lane_push} draws the global sequence number
+    exactly where {!at_fn} would, so lane events keep their
+    deterministic position in the global (time, seq) order. A push that would violate the
     lane's time-monotonicity transparently falls back to the wheel/heap
     with the same (time, seq) — correctness never depends on the caller
     getting monotonicity right. *)
@@ -107,11 +106,6 @@ type lane
 
 val lane : t -> lane
 (** Register a fresh (empty) lane. *)
-
-val reserve_seq : t -> int
-(** Draw the next global sequence number. {!at_fn}/{!at} draw from the
-    same counter, so interleaving reservations with scheduling calls
-    totally orders all events. *)
 
 val set_seq_partition : t -> index:int -> count:int -> unit
 (** Declare this kernel to be shard [index] of [count] cooperating
@@ -125,10 +119,11 @@ val set_seq_partition : t -> index:int -> count:int -> unit
     lies outside [0, count). [count = 1] is the default (no-op)
     partition. *)
 
-val lane_push :
-  t -> lane -> time:float -> seq:int -> fn:(int -> unit) -> arg:int -> unit
-(** Schedule [fn arg] at [time] (clamped to [now]) on the lane, with a
-    sequence number from {!reserve_seq}. *)
+val lane_push : t -> lane -> time:float -> fn:(int -> unit) -> arg:int -> unit
+(** Schedule [fn arg] at [time] (clamped to [now]) on the lane. The push
+    draws the next global sequence number, from the counter {!at_fn}
+    draws from, so the event takes the place in the global (time, seq)
+    order that an {!at_fn} call at this point would give it. *)
 
 val next_event_time : t -> float
 (** Fire time of the earliest scheduled event across every source

@@ -17,17 +17,20 @@ let kind_name = function
 
 type flow_state = {
   label : string;
-  outstanding : (int, int) Hashtbl.t; (* seq -> size *)
+  outstanding : int Seq_table.t; (* seq -> size *)
   mutable sent : int;
   mutable acked : int;
   mutable lost : int;
   mutable dups : int;
   mutable acked_bytes : int;
-  mutable last_time : float;
 }
 
+(* Event times live in float arrays, not in mutable record fields: a
+   float stored in a mixed record is boxed, and these are stored on
+   every packet event. *)
 type t = {
   mutable flows : flow_state array;
+  mutable flow_time : float array; (* per flow: last ACK/loss/dup time *)
   mutable n_flows : int;
   (* Ring of the last [trace] events: parallel arrays, oldest
      overwritten first. *)
@@ -38,7 +41,7 @@ type t = {
   mutable ring_pos : int;
   mutable ring_len : int;
   mutable checked : int;
-  mutable last_global_time : float;
+  clock : float array; (* [|latest event time seen|] *)
   obs : Trace.t;
   (* Per-link hop occupancy counters (multi-hop topologies), indexed by
      link id and grown on demand. Hop events are cross-checks layered
@@ -60,6 +63,7 @@ let create ?(trace = 64) ?(obs = Trace.disabled) () =
   {
     obs;
     flows = [||];
+    flow_time = [||];
     n_flows = 0;
     ring_kind = Array.make trace 0;
     ring_flow = Array.make trace 0;
@@ -68,7 +72,7 @@ let create ?(trace = 64) ?(obs = Trace.disabled) () =
     ring_pos = 0;
     ring_len = 0;
     checked = 0;
-    last_global_time = neg_infinity;
+    clock = [| neg_infinity |];
     hop_entered = [||];
     hop_exited = [||];
     hop_dropped = [||];
@@ -80,20 +84,22 @@ let register_flow t ~label =
   let fs =
     {
       label;
-      outstanding = Hashtbl.create 64;
+      outstanding = Seq_table.create ~capacity:64 0;
       sent = 0;
       acked = 0;
       lost = 0;
       dups = 0;
       acked_bytes = 0;
-      last_time = neg_infinity;
     }
   in
   if t.n_flows = Array.length t.flows then begin
     let cap = max 4 (2 * Array.length t.flows) in
     let a = Array.make cap fs in
     Array.blit t.flows 0 a 0 t.n_flows;
-    t.flows <- a
+    t.flows <- a;
+    let ft = Array.make cap neg_infinity in
+    Array.blit t.flow_time 0 ft 0 t.n_flows;
+    t.flow_time <- ft
   end;
   t.flows.(t.n_flows) <- fs;
   t.n_flows <- t.n_flows + 1;
@@ -117,7 +123,7 @@ let fail t fmt =
       (* Fatal path: publishing the violation on the observability bus is
          allowed to allocate. *)
       if Trace.enabled t.obs then
-        Trace.emit t.obs ~time:t.last_global_time ~kind:Trace.Audit_violation
+        Trace.emit t.obs ~time:t.clock.(0) ~kind:Trace.Audit_violation
           ~flow:(-1) ~seq:t.checked ~a:0.0 ~b:0.0 ~note:msg;
       let trace = String.concat "\n" (recent_events t) in
       raise
@@ -127,102 +133,132 @@ let fail t fmt =
               t.ring_len trace)))
     fmt
 
-let flow_state t flow =
-  if flow < 0 || flow >= t.n_flows then
-    fail t "event for unregistered flow id %d" flow
-  else t.flows.(flow)
+(* The entry points below are small and [@inline], so in an optimised
+   build the caller's unboxed event time flows straight into the float
+   arrays. Every violation is raised from a separate [@inline never]
+   function: floats are boxed for the message only when a check fails. *)
 
-let record t ~kind ~flow ~seq ~time =
+let[@inline never] unregistered t flow =
+  fail t "event for unregistered flow id %d" flow
+
+let[@inline] flow_state t flow =
+  if flow < 0 || flow >= t.n_flows then unregistered t flow
+  else Array.unsafe_get t.flows flow
+
+let[@inline never] clock_backwards t ~what time =
+  fail t "clock went backwards: %s at %.9f after %.9f" what time t.clock.(0)
+
+(* The simulator clock can only move forward. *)
+let[@inline] advance_clock t ~what ~time =
+  if time < t.clock.(0) -. 1e-9 then clock_backwards t ~what time;
+  t.clock.(0) <- Float.max t.clock.(0) time
+
+let[@inline] record t ~kind ~flow ~seq ~time =
   let cap = Array.length t.ring_kind in
-  t.ring_kind.(t.ring_pos) <- kind;
-  t.ring_flow.(t.ring_pos) <- flow;
-  t.ring_seq.(t.ring_pos) <- seq;
-  t.ring_time.(t.ring_pos) <- time;
-  t.ring_pos <- (t.ring_pos + 1) mod cap;
+  let p = t.ring_pos in
+  t.ring_kind.(p) <- kind;
+  t.ring_flow.(p) <- flow;
+  t.ring_seq.(p) <- seq;
+  t.ring_time.(p) <- time;
+  t.ring_pos <- (if p + 1 = cap then 0 else p + 1);
   if t.ring_len < cap then t.ring_len <- t.ring_len + 1;
   t.checked <- t.checked + 1;
-  (* The simulator clock can only move forward. *)
-  if time < t.last_global_time -. 1e-9 then
-    fail t "clock went backwards: event at %.9f after %.9f" time
-      t.last_global_time;
-  t.last_global_time <- Float.max t.last_global_time time
+  advance_clock t ~what:"event" ~time
 
-(* In-flight accounting: counters and the outstanding set must agree at
-   every step, and no derived quantity may go negative. *)
-let check_accounting t fs =
+let[@inline never] out_of_order t fs ~what now prev =
+  fail t "flow %s: %s at %.9f before previous event at %.9f" fs.label what now
+    prev
+
+(* ACK, dup-ACK and loss events for a flow arrive in nondecreasing sim
+   time. *)
+let[@inline] flow_clock t fs ~flow ~what ~now =
+  let prev = Array.unsafe_get t.flow_time flow in
+  if now < prev -. 1e-9 then out_of_order t fs ~what now prev;
+  Array.unsafe_set t.flow_time flow (Float.max prev now)
+
+let[@inline never] accounting_broken t fs =
   let out = fs.sent - fs.acked - fs.lost in
   if out < 0 then
     fail t "flow %s: acked(%d) + lost(%d) exceeds sent(%d)" fs.label fs.acked
-      fs.lost fs.sent;
-  if Hashtbl.length fs.outstanding <> out then
+      fs.lost fs.sent
+  else
     fail t "flow %s: outstanding set has %d entries but counters say %d"
       fs.label
-      (Hashtbl.length fs.outstanding)
+      (Seq_table.length fs.outstanding)
       out
 
-let on_sent t ~flow ~seq ~size ~now =
+(* In-flight accounting: counters and the outstanding set must agree at
+   every step, and no derived quantity may go negative. *)
+let[@inline] check_accounting t fs =
+  let out = fs.sent - fs.acked - fs.lost in
+  if out < 0 || Seq_table.length fs.outstanding <> out then
+    accounting_broken t fs
+
+let[@inline never] sent_twice t fs seq =
+  fail t "flow %s: seq %d sent twice" fs.label seq
+
+let[@inline never] negative_seq t fs seq =
+  fail t "flow %s: negative seq %d" fs.label seq
+
+let[@inline] on_sent t ~flow ~seq ~size ~now =
   record t ~kind:k_sent ~flow ~seq ~time:now;
   let fs = flow_state t flow in
-  if Hashtbl.mem fs.outstanding seq then
-    fail t "flow %s: seq %d sent twice" fs.label seq;
-  Hashtbl.replace fs.outstanding seq size;
+  if seq < 0 then negative_seq t fs seq;
+  if Seq_table.mem fs.outstanding seq then sent_twice t fs seq;
+  Seq_table.replace fs.outstanding seq size;
   fs.sent <- fs.sent + 1;
   check_accounting t fs
 
-let consume t fs ~seq ~what =
-  match Hashtbl.find_opt fs.outstanding seq with
-  | None ->
-      fail t
-        "flow %s: %s for seq %d which is not in flight (double delivery or \
-         never sent)"
-        fs.label what seq
-  | Some size ->
-      Hashtbl.remove fs.outstanding seq;
-      size
+let[@inline never] not_in_flight t fs ~what seq =
+  fail t
+    "flow %s: %s for seq %d which is not in flight (double delivery or never \
+     sent)"
+    fs.label what seq
 
-let on_ack t ~flow ~seq ~size ~now =
+let[@inline never] size_mismatch t fs ~what seq size sz =
+  fail t "flow %s: seq %d %s with size %d but sent with %d" fs.label seq what
+    size sz
+
+(* Remove [seq] from the outstanding set, checking the size it was sent
+   with; [what] names the event, [verb] its past tense. *)
+let[@inline] consume t fs ~seq ~size ~what ~verb =
+  let i = Seq_table.find_slot fs.outstanding seq in
+  if i < 0 then not_in_flight t fs ~what seq;
+  let sz = Seq_table.slot_value fs.outstanding i in
+  Seq_table.remove_slot fs.outstanding i;
+  if sz <> size then size_mismatch t fs ~what:verb seq size sz
+
+let[@inline never] acked_bytes_wrapped t fs =
+  fail t "flow %s: acked byte count went backwards" fs.label
+
+let[@inline] on_ack t ~flow ~seq ~size ~now =
   record t ~kind:k_ack ~flow ~seq ~time:now;
   let fs = flow_state t flow in
-  (* ACK events for a flow are delivered in nondecreasing sim time. *)
-  if now < fs.last_time -. 1e-9 then
-    fail t "flow %s: ACK at %.9f before previous event at %.9f" fs.label now
-      fs.last_time;
-  fs.last_time <- Float.max fs.last_time now;
-  let sz = consume t fs ~seq ~what:"ACK" in
-  if sz <> size then
-    fail t "flow %s: seq %d acked with size %d but sent with %d" fs.label seq
-      size sz;
+  flow_clock t fs ~flow ~what:"ACK" ~now;
+  consume t fs ~seq ~size ~what:"ACK" ~verb:"acked";
   fs.acked <- fs.acked + 1;
   let prev = fs.acked_bytes in
   fs.acked_bytes <- fs.acked_bytes + size;
-  if fs.acked_bytes < prev then
-    fail t "flow %s: acked byte count went backwards" fs.label;
+  if fs.acked_bytes < prev then acked_bytes_wrapped t fs;
   check_accounting t fs
 
-let on_dup_ack t ~flow ~seq ~now =
+let[@inline never] dup_in_flight t fs seq =
+  fail t "flow %s: dup ACK for seq %d still in flight" fs.label seq
+
+let[@inline] on_dup_ack t ~flow ~seq ~now =
   record t ~kind:k_dup ~flow ~seq ~time:now;
   let fs = flow_state t flow in
-  if now < fs.last_time -. 1e-9 then
-    fail t "flow %s: dup ACK at %.9f before previous event at %.9f" fs.label
-      now fs.last_time;
-  fs.last_time <- Float.max fs.last_time now;
+  flow_clock t fs ~flow ~what:"dup ACK" ~now;
   (* A duplicate must duplicate a packet that was really delivered: its
      seq is no longer outstanding. *)
-  if Hashtbl.mem fs.outstanding seq then
-    fail t "flow %s: dup ACK for seq %d still in flight" fs.label seq;
+  if Seq_table.mem fs.outstanding seq then dup_in_flight t fs seq;
   fs.dups <- fs.dups + 1
 
-let on_loss t ~flow ~seq ~size ~now =
+let[@inline] on_loss t ~flow ~seq ~size ~now =
   record t ~kind:k_loss ~flow ~seq ~time:now;
   let fs = flow_state t flow in
-  if now < fs.last_time -. 1e-9 then
-    fail t "flow %s: loss at %.9f before previous event at %.9f" fs.label now
-      fs.last_time;
-  fs.last_time <- Float.max fs.last_time now;
-  let sz = consume t fs ~seq ~what:"loss" in
-  if sz <> size then
-    fail t "flow %s: seq %d lost with size %d but sent with %d" fs.label seq
-      size sz;
+  flow_clock t fs ~flow ~what:"loss" ~now;
+  consume t fs ~seq ~size ~what:"loss" ~verb:"lost";
   fs.lost <- fs.lost + 1;
   check_accounting t fs
 
@@ -242,12 +278,9 @@ let ensure_link t link =
     t.hop_dropped <- grow t.hop_dropped
   end
 
-let hop_clock t ~now =
+let[@inline] hop_clock t ~now =
   t.hop_checked <- t.hop_checked + 1;
-  if now < t.last_global_time -. 1e-9 then
-    fail t "clock went backwards: hop event at %.9f after %.9f" now
-      t.last_global_time;
-  t.last_global_time <- Float.max t.last_global_time now
+  advance_clock t ~what:"hop event" ~time:now
 
 let on_hop_enter t ~link ~now =
   ensure_link t link;
@@ -303,15 +336,19 @@ let check_fluid t =
 
 let fluid_links_checked t = List.length t.fluids
 
-let observe_backlog t ~backlog ~now =
+let[@inline never] bad_backlog t backlog now =
   if not (Float.is_finite backlog) then
-    fail t "backlog is not finite (%g) at %.6f" backlog now;
-  if backlog < 0.0 then fail t "negative backlog %g at %.6f" backlog now
+    fail t "backlog is not finite (%g) at %.6f" backlog now
+  else fail t "negative backlog %g at %.6f" backlog now
+
+let[@inline] observe_backlog t ~backlog ~now =
+  if not (Float.is_finite backlog && backlog >= 0.0) then
+    bad_backlog t backlog now
 
 let outstanding t =
   let n = ref 0 in
   for i = 0 to t.n_flows - 1 do
-    n := !n + Hashtbl.length t.flows.(i).outstanding
+    n := !n + Seq_table.length t.flows.(i).outstanding
   done;
   !n
 
@@ -320,12 +357,12 @@ let events_checked t = t.checked
 let assert_quiesced t =
   for i = 0 to t.n_flows - 1 do
     let fs = t.flows.(i) in
-    if Hashtbl.length fs.outstanding <> 0 then
+    if Seq_table.length fs.outstanding <> 0 then
       fail t
         "flow %s: %d packets neither delivered nor dropped after quiesce \
          (conservation)"
         fs.label
-        (Hashtbl.length fs.outstanding)
+        (Seq_table.length fs.outstanding)
   done;
   for link = 0 to Array.length t.hop_entered - 1 do
     if t.hop_entered.(link) <> t.hop_exited.(link) then

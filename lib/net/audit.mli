@@ -20,9 +20,13 @@
     On violation the auditor raises {!Violation} whose message embeds a
     bounded ring-buffer trace of the last [trace] events (oldest
     first), enough to replay the failure deterministically from the
-    scenario seed. The auditor allocates only when registering flows
-    and when a packet enters/leaves the outstanding set; the trace ring
-    is preallocated. *)
+    scenario seed. The auditor allocates only when a flow is registered
+    and when a flow's outstanding table doubles (see {!Seq_table}); the
+    per-packet checks, the outstanding set and the preallocated trace
+    ring allocate nothing. The event hooks are small and inlined in an
+    optimised build, so their float arguments are not boxed either. A
+    failing check allocates its message. Sequence numbers must be
+    non-negative. *)
 
 exception Violation of string
 

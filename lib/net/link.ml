@@ -218,7 +218,7 @@ let apply_fluid t ~now =
    already reported Dropped at admission by the lookahead below). The
    fluid aggregate is advanced up to each impairment instant first, so
    every fluid integration interval sees one consistent capacity. *)
-let sync t ~now =
+let sync_slow t ~now =
   while
     t.sched_idx < Array.length t.sched_time && t.sched_time.(t.sched_idx) <= now
   do
@@ -269,6 +269,17 @@ let sync t ~now =
   done;
   if t.agg <> None then apply_fluid t ~now
 
+(* Inline guard: a link with no fluid aggregate and no impairment or
+   outage end due by [now] has nothing to sync, and then no float
+   crosses a call. *)
+let[@inline] sync t ~now =
+  if
+    (match t.agg with Some _ -> true | None -> false)
+    || (t.sched_idx < Array.length t.sched_time
+       && t.sched_time.(t.sched_idx) <= now)
+    || (t.out_idx < Array.length t.out_end && t.out_end.(t.out_idx) <= now)
+  then sync_slow t ~now
+
 (* ---------- fluid background tier ---------- *)
 
 let attach_fluid t a =
@@ -308,7 +319,7 @@ let is_down t ~now =
   && t.out_start.(t.out_idx) <= now
   && now < t.out_end.(t.out_idx)
 
-let backlog_bytes t ~now =
+let[@inline] backlog_bytes t ~now =
   sync t ~now;
   Float.max 0.0 (t.fl.(0) -. now) *. t.cap_eff
 

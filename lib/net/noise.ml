@@ -36,62 +36,71 @@ type t = {
   spec : spec;
   rng : Rng.t;
   (* Unboxed float state: fl.(0) is the gate-open instant, fl.(1) the
-     last nominal delivery time (mutable float fields in a mixed record
-     would box on every store, and [None_] still stores fl.(1) once per
-     ACK). *)
+     last nominal delivery time, fl.(2) the slow path's argument on
+     entry and its result on return (mutable float fields in a mixed
+     record would box on every store, and a float passed to or returned
+     from an out-of-line call is boxed). *)
   fl : float array;
 }
 
-let create spec ~rng = { spec; rng; fl = [| 0.0; neg_infinity |] }
+let create spec ~rng = { spec; rng; fl = [| 0.0; neg_infinity; 0.0 |] }
 
 (* Gaussian jitter truncated to be nonnegative: latency noise can only
    delay delivery in our model. *)
-let jitter rng ~sigma =
+let[@inline] jitter rng ~sigma =
   if sigma <= 0.0 then 0.0
   else Float.abs (Rng.gaussian rng ~mu:0.0 ~sigma)
 
-let ack_delivery_time_slow t ~nominal =
+let[@inline never] nominal_decreased t nominal =
+  invalid_arg
+    (Printf.sprintf
+       "Noise.ack_delivery_time: nominal %.9f < previous %.9f (calls must be \
+        nondecreasing)"
+       nominal t.fl.(1))
+
+(* Reads the nominal time from fl.(2) and leaves the delivery time
+   there. *)
+let ack_delivery_time_slow t =
+  let nominal = t.fl.(2) in
   (* The gate state ([gate_until]) assumes ACKs are presented in send
      order; a decreasing [nominal] would silently produce out-of-order
      delivery times, so reject it loudly instead (small slack for
      floating-point noise in callers' arithmetic). *)
-  if nominal < t.fl.(1) -. 1e-9 then
-    invalid_arg
-      (Printf.sprintf
-         "Noise.ack_delivery_time: nominal %.9f < previous %.9f (calls must \
-          be nondecreasing)"
-         nominal t.fl.(1));
+  if nominal < t.fl.(1) -. 1e-9 then nominal_decreased t nominal;
   if nominal > t.fl.(1) then t.fl.(1) <- nominal;
-  match t.spec with
-  | None_ -> nominal
-  | Gaussian { sigma_ms } ->
-      nominal +. jitter t.rng ~sigma:(Units.ms sigma_ms)
-  | Lte { frame_ms; jitter_ms; outage_prob; outage_max_ms } ->
-      (* Quantize delivery up to the next scheduling frame boundary. *)
-      let frame = Units.ms frame_ms in
-      let quantized = Float.ceil (nominal /. frame) *. frame in
-      let d = ref (quantized +. jitter t.rng ~sigma:(Units.ms jitter_ms)) in
-      if nominal >= t.fl.(0) && Rng.bernoulli t.rng ~p:outage_prob then
-        t.fl.(0) <-
-          nominal
-          +. Rng.uniform t.rng ~lo:(Units.ms 5.0) ~hi:(Units.ms outage_max_ms);
-      if !d < t.fl.(0) then d := t.fl.(0);
-      !d
-  | Wifi { jitter_ms; spike_prob; spike_scale_ms; gate_prob; gate_max_ms } ->
-      let d = ref (nominal +. jitter t.rng ~sigma:(Units.ms jitter_ms)) in
-      if Rng.bernoulli t.rng ~p:spike_prob then begin
-        let spike =
-          Rng.pareto t.rng ~shape:1.5 ~scale:(Units.ms spike_scale_ms)
-        in
-        d := !d +. Float.min spike (Units.ms 60.0)
-      end;
-      (* ACK compression: a gate holds all ACKs whose nominal delivery
-         falls before it opens, releasing them back-to-back. *)
-      if nominal >= t.fl.(0) && Rng.bernoulli t.rng ~p:gate_prob then
-        t.fl.(0) <-
-          nominal +. Rng.uniform t.rng ~lo:(Units.ms 2.0) ~hi:(Units.ms gate_max_ms);
-      if !d < t.fl.(0) then d := t.fl.(0);
-      !d
+  let d =
+    match t.spec with
+    | None_ -> nominal
+    | Gaussian { sigma_ms } ->
+        nominal +. jitter t.rng ~sigma:(Units.ms sigma_ms)
+    | Lte { frame_ms; jitter_ms; outage_prob; outage_max_ms } ->
+        (* Quantize delivery up to the next scheduling frame boundary. *)
+        let frame = Units.ms frame_ms in
+        let quantized = Float.ceil (nominal /. frame) *. frame in
+        let d = ref (quantized +. jitter t.rng ~sigma:(Units.ms jitter_ms)) in
+        if nominal >= t.fl.(0) && Rng.bernoulli t.rng ~p:outage_prob then
+          t.fl.(0) <-
+            nominal
+            +. Rng.uniform t.rng ~lo:(Units.ms 5.0) ~hi:(Units.ms outage_max_ms);
+        if !d < t.fl.(0) then d := t.fl.(0);
+        !d
+    | Wifi { jitter_ms; spike_prob; spike_scale_ms; gate_prob; gate_max_ms } ->
+        let d = ref (nominal +. jitter t.rng ~sigma:(Units.ms jitter_ms)) in
+        if Rng.bernoulli t.rng ~p:spike_prob then begin
+          let spike =
+            Rng.pareto t.rng ~shape:1.5 ~scale:(Units.ms spike_scale_ms)
+          in
+          d := !d +. Float.min spike (Units.ms 60.0)
+        end;
+        (* ACK compression: a gate holds all ACKs whose nominal delivery
+           falls before it opens, releasing them back-to-back. *)
+        if nominal >= t.fl.(0) && Rng.bernoulli t.rng ~p:gate_prob then
+          t.fl.(0) <-
+            nominal +. Rng.uniform t.rng ~lo:(Units.ms 2.0) ~hi:(Units.ms gate_max_ms);
+        if !d < t.fl.(0) then d := t.fl.(0);
+        !d
+  in
+  t.fl.(2) <- d
 
 (* Inline fast path for the benign common case (no noise model, nominal
    times nondecreasing): one unboxed compare + store, no call, no float
@@ -103,4 +112,7 @@ let[@inline] ack_delivery_time t ~now:_ ~nominal =
   | None_ when nominal >= t.fl.(1) ->
       t.fl.(1) <- nominal;
       nominal
-  | _ -> ack_delivery_time_slow t ~nominal
+  | _ ->
+      t.fl.(2) <- nominal;
+      ack_delivery_time_slow t;
+      t.fl.(2)

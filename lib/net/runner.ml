@@ -221,8 +221,7 @@ let release_slot f idx =
    [Sim.lane_push], keeping the global (time, seq) order exact either
    way. *)
 let[@inline] sched_link t ~link ~time ~fn ~arg =
-  Sim.lane_push t.sim t.lanes.(link) ~time ~seq:(Sim.reserve_seq t.sim) ~fn
-    ~arg
+  Sim.lane_push t.sim t.lanes.(link) ~time ~fn ~arg
 
 (* ---------- multi-hop forward progression ----------
 

@@ -1,14 +1,27 @@
-let mean xs =
-  if Array.length xs = 0 then invalid_arg "Descriptive.mean: empty";
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
+(* Left-to-right sums from 0.0, the order of [Array.fold_left], so the
+   prefix and whole-array forms agree bit for bit. The loops keep their
+   accumulators unboxed: per-MI statistics run without allocating. *)
+let mean_prefix xs ~n =
+  if n = 0 then invalid_arg "Descriptive.mean: empty";
+  if n < 0 || n > Array.length xs then invalid_arg "Descriptive.mean_prefix: n";
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    s := !s +. Array.unsafe_get xs i
+  done;
+  !s /. float_of_int n
 
-let variance xs =
-  let n = Array.length xs in
+let variance_prefix xs ~n =
   if n = 0 then invalid_arg "Descriptive.variance: empty";
-  let m = mean xs in
-  Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-  /. float_of_int n
+  let m = mean_prefix xs ~n in
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    s := !s +. ((Array.unsafe_get xs i -. m) ** 2.0)
+  done;
+  !s /. float_of_int n
 
+let stddev_prefix xs ~n = sqrt (variance_prefix xs ~n)
+let mean xs = mean_prefix xs ~n:(Array.length xs)
+let variance xs = variance_prefix xs ~n:(Array.length xs)
 let stddev xs = sqrt (variance xs)
 
 let percentile xs ~p =

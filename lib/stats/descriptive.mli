@@ -9,6 +9,15 @@ val variance : float array -> float
 val stddev : float array -> float
 (** Population standard deviation, [sqrt (variance x)]. *)
 
+val mean_prefix : float array -> n:int -> float
+(** [mean_prefix xs ~n] is {!mean} of the first [n] samples of [xs],
+    bit for bit, without copying them. Raises [Invalid_argument] when
+    [n = 0] or [n] exceeds the array's length. *)
+
+val stddev_prefix : float array -> n:int -> float
+(** {!stddev} of the first [n] samples of [xs], bit for bit; as
+    {!mean_prefix}. *)
+
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation
     between order statistics. Does not mutate [xs]. *)

@@ -38,5 +38,7 @@ module Mean_dev = struct
 
   let mean t = value t.mean
   let deviation t = value t.dev
+  let mean_nan t = t.mean.avg
+  let deviation_nan t = t.dev.avg
   let n_samples t = t.n
 end

@@ -37,6 +37,12 @@ module Mean_dev : sig
   val mean : t -> float option
   val deviation : t -> float option
 
+  val mean_nan : t -> float
+  (** {!mean} with [Float.nan] for [None], allocation-free. *)
+
+  val deviation_nan : t -> float
+  (** {!deviation} with [Float.nan] for [None], allocation-free. *)
+
   val n_samples : t -> int
   (** Number of samples folded in so far. *)
 end

@@ -18,6 +18,8 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Fvec.get";
   t.data.(i)
 
+let clear t = t.len <- 0
+let unsafe_data t = t.data
 let to_array t = Array.sub t.data 0 t.len
 
 let iter f t =

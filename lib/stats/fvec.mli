@@ -8,6 +8,14 @@ val length : t -> int
 val push : t -> float -> unit
 val get : t -> int -> float
 
+val clear : t -> unit
+(** Empty the vector, keeping its capacity for reuse. *)
+
+val unsafe_data : t -> float array
+(** The backing store itself, not a copy: entries [\[0, length t)] are
+    the contents, anything after them is stale. Valid until the next
+    {!push}, which may replace it. *)
+
 val to_array : t -> float array
 (** Fresh array copy of the contents. *)
 

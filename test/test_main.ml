@@ -11,6 +11,7 @@ let () =
       ("net", Test_net.suite);
       ("topology", Test_topology.suite);
       ("faults", Test_faults.suite);
+      ("hotpath", Test_hotpath.suite);
       ("cc", Test_cc.suite);
       ("datapath", Test_datapath.suite);
       ("proteus", Test_proteus.suite);
