@@ -13,6 +13,7 @@ let () =
       ("faults", Test_faults.suite);
       ("hotpath", Test_hotpath.suite);
       ("cc", Test_cc.suite);
+      ("sender", Test_sender.suite);
       ("datapath", Test_datapath.suite);
       ("proteus", Test_proteus.suite);
       ("equilibrium", Test_equilibrium.suite);
