@@ -121,11 +121,13 @@ let pacing_rate t ~now =
   if t.state = Probe_rtt || now < t.yield_until then btlbw_estimate t
   else base
 
-let next_send t ~now =
-  if float_of_int t.inflight >= cwnd_bytes t ~now then infinity
-  else t.next_send_time
+let next_send_m t ~meta =
+  meta.(3) <-
+    (if float_of_int t.inflight >= cwnd_bytes t ~now:meta.(0) then infinity
+     else t.next_send_time)
 
-let on_sent t ~now ~seq ~size =
+let on_sent_m t ~meta ~seq ~size =
+  let now = meta.(0) in
   t.inflight <- t.inflight + size;
   Hashtbl.replace t.meta seq { delivered_at_send = t.delivered; sent_at = now };
   let rate = pacing_rate t ~now in
@@ -197,7 +199,8 @@ let handle_state t ~now =
     t.probe_rtt_done_stamp <- None
   end
 
-let on_ack t ~now ~seq ~send_time:_ ~size ~rtt =
+let on_ack_m t ~meta ~seq ~size =
+  let now = meta.(0) and rtt = meta.(2) in
   t.inflight <- max 0 (t.inflight - size);
   t.delivered <- t.delivered +. float_of_int size;
   t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt);
@@ -233,7 +236,8 @@ let on_ack t ~now ~seq ~send_time:_ ~size ~rtt =
   | None -> ());
   handle_state t ~now
 
-let on_loss t ~now ~seq ~send_time:_ ~size =
+let on_loss_m t ~meta ~seq ~size =
+  let now = meta.(0) in
   t.inflight <- max 0 (t.inflight - size);
   Hashtbl.remove t.meta seq;
   (* BBR v1 largely ignores loss (no loss-based cwnd reduction). *)
@@ -241,14 +245,14 @@ let on_loss t ~now ~seq ~send_time:_ ~size =
 
 let factory ?params () : Proteus_net.Sender.factory =
  fun env ->
-  Sender.pack (module struct
+  Sender.pack_meta (module struct
     type nonrec t = t
 
     let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
+    let next_send_m = next_send_m
+    let on_sent_m = on_sent_m
+    let on_ack_m = on_ack_m
+    let on_loss_m = on_loss_m
   end) (create ?params env)
 
 let scavenger_factory () = factory ~params:scavenger ()

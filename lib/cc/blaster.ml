@@ -10,23 +10,23 @@ let create ~rate_mbps (_env : Sender.env) =
 
 let name _ = "blaster"
 
-let next_send t ~now:_ = t.next_send_time
+let next_send_m t ~meta = meta.(3) <- t.next_send_time
 
-let on_sent t ~now ~seq:_ ~size =
+let on_sent_m t ~meta ~seq:_ ~size =
   t.next_send_time <-
-    Float.max now t.next_send_time +. (float_of_int size /. t.rate)
+    Float.max meta.(0) t.next_send_time +. (float_of_int size /. t.rate)
 
-let on_ack _ ~now:_ ~seq:_ ~send_time:_ ~size:_ ~rtt:_ = ()
-let on_loss _ ~now:_ ~seq:_ ~send_time:_ ~size:_ = ()
+let on_ack_m _ ~meta:_ ~seq:_ ~size:_ = ()
+let on_loss_m _ ~meta:_ ~seq:_ ~size:_ = ()
 
 let factory ~rate_mbps : Proteus_net.Sender.factory =
  fun env ->
-  Sender.pack (module struct
+  Sender.pack_meta (module struct
     type nonrec t = t
 
     let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
+    let next_send_m = next_send_m
+    let on_sent_m = on_sent_m
+    let on_ack_m = on_ack_m
+    let on_loss_m = on_loss_m
   end) (create ~rate_mbps env)

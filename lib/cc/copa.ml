@@ -50,10 +50,10 @@ let create ?(params = default) (env : Sender.env) =
 let name _ = "copa"
 let cwnd_packets t = t.cwnd
 
-let next_send t ~now =
-  if float_of_int t.inflight < t.cwnd then now else infinity
+let next_send_m t ~meta =
+  meta.(3) <- (if float_of_int t.inflight < t.cwnd then meta.(0) else infinity)
 
-let on_sent t ~now:_ ~seq:_ ~size:_ = t.inflight <- t.inflight + 1
+let on_sent_m t ~meta:_ ~seq:_ ~size:_ = t.inflight <- t.inflight + 1
 
 (* Velocity doubles after the window has moved in the same direction
    for three consecutive RTTs, and resets on a direction change. *)
@@ -73,7 +73,8 @@ let update_velocity t ~now =
     t.last_check_time <- now
   end
 
-let on_ack t ~now ~seq:_ ~send_time:_ ~size:_ ~rtt =
+let on_ack_m t ~meta ~seq:_ ~size:_ =
+  let now = meta.(0) and rtt = meta.(2) in
   t.inflight <- max 0 (t.inflight - 1);
   t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt);
   Winfilter.set_window t.rtt_standing (Float.max 0.004 (t.srtt /. 2.0));
@@ -107,7 +108,7 @@ let on_ack t ~now ~seq:_ ~send_time:_ ~size:_ ~rtt =
    off before persistent congestion loss) — that is what gives it the
    random-loss tolerance of Fig. 4 — but, like real implementations, a
    loss does terminate slow-start's unbounded doubling. *)
-let on_loss t ~now:_ ~seq:_ ~send_time:_ ~size:_ =
+let on_loss_m t ~meta:_ ~seq:_ ~size:_ =
   t.inflight <- max 0 (t.inflight - 1);
   t.slow_start <- false;
   (* A loss also resets the velocity: the amplified window growth that
@@ -117,12 +118,12 @@ let on_loss t ~now:_ ~seq:_ ~send_time:_ ~size:_ =
 
 let factory ?params () : Proteus_net.Sender.factory =
  fun env ->
-  Sender.pack (module struct
+  Sender.pack_meta (module struct
     type nonrec t = t
 
     let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
+    let next_send_m = next_send_m
+    let on_sent_m = on_sent_m
+    let on_ack_m = on_ack_m
+    let on_loss_m = on_loss_m
   end) (create ?params env)

@@ -35,10 +35,10 @@ let create (_ : Sender.env) =
 let name _ = "cubic"
 let cwnd_packets t = t.cwnd
 
-let next_send t ~now =
-  if t.inflight < t.cwnd then now else infinity
+let next_send_m t ~meta =
+  meta.(3) <- (if t.inflight < t.cwnd then meta.(0) else infinity)
 
-let on_sent t ~now:_ ~seq:_ ~size:_ = t.inflight <- t.inflight +. 1.0
+let on_sent_m t ~meta:_ ~seq:_ ~size:_ = t.inflight <- t.inflight +. 1.0
 
 let[@inline] update_srtt t rtt =
   t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt)
@@ -52,9 +52,10 @@ let[@inline] cubic_target t ~elapsed =
   in
   Float.max w_cubic w_est
 
-let[@inline] on_ack_impl t ~now ~rtt =
+let on_ack_m t ~meta ~seq:_ ~size:_ =
+  let now = meta.(0) in
   t.inflight <- Float.max 0.0 (t.inflight -. 1.0);
-  update_srtt t rtt;
+  update_srtt t meta.(2);
   if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
   else begin
     let epoch =
@@ -74,9 +75,8 @@ let[@inline] on_ack_impl t ~now ~rtt =
     else t.cwnd <- t.cwnd +. (0.01 /. t.cwnd)
   end
 
-let on_ack t ~now ~seq:_ ~send_time:_ ~size:_ ~rtt = on_ack_impl t ~now ~rtt
-
-let[@inline] on_loss_impl t ~now =
+let on_loss_m t ~meta ~seq:_ ~size:_ =
+  let now = meta.(0) in
   t.inflight <- Float.max 0.0 (t.inflight -. 1.0);
   (* One multiplicative decrease per RTT: later losses of the same
      window event are absorbed. *)
@@ -90,28 +90,14 @@ let[@inline] on_loss_impl t ~now =
     t.epoch_start <- Float.nan
   end
 
-let on_loss t ~now ~seq:_ ~send_time:_ ~size:_ = on_loss_impl t ~now
-
-(* Native Sender.S_meta instance: the hot entry points read/write the
-   caller's scratch array directly (see Sender.S_meta for the layout),
-   so per-packet cubic calls box no floats. *)
 let factory () : Proteus_net.Sender.factory =
- fun env -> Sender.pack_meta (module struct
-   type nonrec t = t
+ fun env ->
+  Sender.pack_meta (module struct
+    type nonrec t = t
 
-   let name = name
-   let next_send = next_send
-   let on_sent = on_sent
-   let on_ack = on_ack
-   let on_loss = on_loss
-
-   let next_send_m t ~meta =
-     meta.(3) <- (if t.inflight < t.cwnd then meta.(0) else infinity)
-
-   let on_sent_m t ~meta:_ ~seq:_ ~size:_ = t.inflight <- t.inflight +. 1.0
-
-   let on_ack_m t ~meta ~seq:_ ~size:_ =
-     on_ack_impl t ~now:meta.(0) ~rtt:meta.(2)
-
-   let on_loss_m t ~meta ~seq:_ ~size:_ = on_loss_impl t ~now:meta.(0)
- end) (create env)
+    let name = name
+    let next_send_m = next_send_m
+    let on_sent_m = on_sent_m
+    let on_ack_m = on_ack_m
+    let on_loss_m = on_loss_m
+  end) (create env)

@@ -28,7 +28,7 @@ let register_names =
 let i_rtt = Dp.signal_index Dp.Rtt_sample
 let i_now = Dp.signal_index Dp.Now
 
-(* Mirrors Cubic.on_ack_impl minus the inflight bookkeeping (the
+(* Mirrors Cubic.on_ack_m minus the inflight bookkeeping (the
    adapter owns inflight with the same decrement-first semantics). *)
 let on_ack regs sigs =
   regs.(r_srtt) <- (0.875 *. regs.(r_srtt)) +. (0.125 *. sigs.(i_rtt));
@@ -82,35 +82,29 @@ let program (_ : Proteus_net.Sender.env) =
   }
 
 (* The control side: one multiplicative decrease per srtt, fast
-   convergence, epoch reset — Cubic.on_loss_impl verbatim over the
+   convergence, epoch reset — Cubic.on_loss_m verbatim over the
    register file, with the resulting window installed through the
-   actions record. *)
-module Control = struct
-  type t = unit
-
-  let create _env _prog = ()
-
-  let on_report () (rep : Dp.report) (act : Dp.actions) =
-    match rep.Dp.rp_cause with
-    | Dp.Loss_event ->
-        let regs = rep.Dp.rp_regs in
-        let now = rep.Dp.rp_time in
-        if now -. regs.(r_last_red) > regs.(r_srtt) then begin
-          regs.(r_last_red) <- now;
-          if regs.(r_cwnd) < regs.(r_w_max) then
-            regs.(r_w_max) <- regs.(r_cwnd) *. (2.0 -. beta) /. 2.0
-          else regs.(r_w_max) <- regs.(r_cwnd);
-          regs.(r_cwnd) <- Float.max min_cwnd (regs.(r_cwnd) *. beta);
-          regs.(r_ssthresh) <- Float.max min_cwnd regs.(r_cwnd);
-          regs.(r_epoch) <- Float.nan;
-          act.Dp.a_cwnd <- regs.(r_cwnd)
-        end
-    | Dp.Interval | Dp.Predicate -> ()
-    (* Interval/predicate reports are observability-only for CUBIC:
-       scenario-level (interval T) overrides stay behavior-neutral. *)
-end
-
-module Lowered = Dp.To_sender (Control)
+   actions record. Interval/predicate reports are observability-only
+   for CUBIC: scenario-level (interval T) overrides stay
+   behavior-neutral. *)
+let handler (rep : Dp.report) (act : Dp.actions) =
+  match rep.Dp.rp_cause with
+  | Dp.Loss_event ->
+      let regs = rep.Dp.rp_regs in
+      let now = rep.Dp.rp_time in
+      if now -. regs.(r_last_red) > regs.(r_srtt) then begin
+        regs.(r_last_red) <- now;
+        if regs.(r_cwnd) < regs.(r_w_max) then
+          regs.(r_w_max) <- regs.(r_cwnd) *. (2.0 -. beta) /. 2.0
+        else regs.(r_w_max) <- regs.(r_cwnd);
+        regs.(r_cwnd) <- Float.max min_cwnd (regs.(r_cwnd) *. beta);
+        regs.(r_ssthresh) <- Float.max min_cwnd regs.(r_cwnd);
+        regs.(r_epoch) <- Float.nan;
+        act.Dp.a_cwnd <- regs.(r_cwnd)
+      end
+  | Dp.Interval | Dp.Predicate -> ()
 
 let factory ?interval ?consts () : Proteus_net.Sender.factory =
-  Lowered.lower (fun env -> Dp.with_overrides ?interval ?consts (program env))
+  Dp.to_factory
+    ~program:(fun env -> Dp.with_overrides ?interval ?consts (program env))
+    ~handler:(fun _env _prog -> handler)

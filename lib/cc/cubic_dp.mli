@@ -12,7 +12,7 @@ val program : Proteus_net.Sender.env -> Proteus.Datapath.program
 (** The fold program (fresh per flow; all state lives in the adapter's
     register file). *)
 
-module Control : Proteus.Datapath.CONTROL
+val handler : Proteus.Datapath.handler
 (** The loss-reaction control handler. *)
 
 val factory :

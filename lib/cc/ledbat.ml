@@ -41,10 +41,10 @@ let name t =
 let cwnd_packets t = t.cwnd
 let base_delay t = List.fold_left Float.min infinity t.base_buckets
 
-let next_send t ~now =
-  if float_of_int t.inflight < t.cwnd then now else infinity
+let next_send_m t ~meta =
+  meta.(3) <- (if float_of_int t.inflight < t.cwnd then meta.(0) else infinity)
 
-let on_sent t ~now:_ ~seq:_ ~size:_ = t.inflight <- t.inflight + 1
+let on_sent_m t ~meta:_ ~seq:_ ~size:_ = t.inflight <- t.inflight + 1
 
 let update_base t ~now delay =
   if now -. t.bucket_started >= 60.0 then begin
@@ -61,7 +61,8 @@ let update_base t ~now delay =
 
 let current_delay t = List.fold_left Float.min infinity t.recent
 
-let on_ack t ~now ~seq:_ ~send_time:_ ~size ~rtt =
+let on_ack_m t ~meta ~seq:_ ~size =
+  let now = meta.(0) and rtt = meta.(2) in
   t.inflight <- max 0 (t.inflight - 1);
   t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt);
   (* RFC 6817 uses one-way delay; the reverse path is uncongested in the
@@ -83,7 +84,8 @@ let on_ack t ~now ~seq:_ ~send_time:_ ~size ~rtt =
   let increment = Float.max increment (-1.0) in
   t.cwnd <- Float.max min_cwnd (t.cwnd +. increment)
 
-let on_loss t ~now ~seq:_ ~send_time:_ ~size:_ =
+let on_loss_m t ~meta ~seq:_ ~size:_ =
+  let now = meta.(0) in
   t.inflight <- max 0 (t.inflight - 1);
   if now -. t.last_reduction > t.srtt then begin
     t.last_reduction <- now;
@@ -92,12 +94,12 @@ let on_loss t ~now ~seq:_ ~send_time:_ ~size:_ =
 
 let factory ?params () : Proteus_net.Sender.factory =
  fun env ->
-  Sender.pack (module struct
+  Sender.pack_meta (module struct
     type nonrec t = t
 
     let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
+    let next_send_m = next_send_m
+    let on_sent_m = on_sent_m
+    let on_ack_m = on_ack_m
+    let on_loss_m = on_loss_m
   end) (create ?params env)

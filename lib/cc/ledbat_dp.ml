@@ -4,8 +4,7 @@
    filter — become fixed register banks (newest at index 0, a shift
    replaces the list prepend, live counts bound the minimum folds); the
    loss halving runs in the control handler behind an On_loss report.
-   Lowered through Datapath.to_factory (the closure twin of the
-   To_sender functor Cubic_dp uses). *)
+   Lowered through Datapath.to_factory. *)
 
 module Dp = Proteus.Datapath
 
@@ -41,7 +40,7 @@ let i_rtt = Dp.signal_index Dp.Rtt_sample
 let i_now = Dp.signal_index Dp.Now
 let i_bytes = Dp.signal_index Dp.Bytes_acked
 
-(* Mirrors Ledbat.on_ack minus the inflight bookkeeping. The minimum
+(* Mirrors Ledbat.on_ack_m minus the inflight bookkeeping. The minimum
    folds walk the banks newest-first with an [infinity] seed — the same
    order and the same Float.min chain as the monolithic
    [List.fold_left Float.min infinity]. *)

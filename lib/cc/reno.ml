@@ -22,18 +22,19 @@ let create (_env : Sender.env) =
 let name _ = "reno"
 let cwnd_packets t = t.cwnd
 
-let next_send t ~now =
-  if float_of_int t.inflight < t.cwnd then now else infinity
+let next_send_m t ~meta =
+  meta.(3) <- (if float_of_int t.inflight < t.cwnd then meta.(0) else infinity)
 
-let on_sent t ~now:_ ~seq:_ ~size:_ = t.inflight <- t.inflight + 1
+let on_sent_m t ~meta:_ ~seq:_ ~size:_ = t.inflight <- t.inflight + 1
 
-let on_ack t ~now:_ ~seq:_ ~send_time:_ ~size:_ ~rtt =
+let on_ack_m t ~meta ~seq:_ ~size:_ =
   t.inflight <- max 0 (t.inflight - 1);
-  t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt);
+  t.srtt <- (0.875 *. t.srtt) +. (0.125 *. meta.(2));
   if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
   else t.cwnd <- t.cwnd +. (1.0 /. t.cwnd)
 
-let on_loss t ~now ~seq:_ ~send_time:_ ~size:_ =
+let on_loss_m t ~meta ~seq:_ ~size:_ =
+  let now = meta.(0) in
   t.inflight <- max 0 (t.inflight - 1);
   if now -. t.last_reduction > t.srtt then begin
     t.last_reduction <- now;
@@ -43,12 +44,12 @@ let on_loss t ~now ~seq:_ ~send_time:_ ~size:_ =
 
 let factory () : Proteus_net.Sender.factory =
  fun env ->
-  Sender.pack (module struct
+  Sender.pack_meta (module struct
     type nonrec t = t
 
     let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
+    let next_send_m = next_send_m
+    let on_sent_m = on_sent_m
+    let on_ack_m = on_ack_m
+    let on_loss_m = on_loss_m
   end) (create env)

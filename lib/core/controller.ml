@@ -91,6 +91,7 @@ type t = {
   rng : Rng.t;
   mtu : int;
   trace : Trace.t;
+  flow : int; (* flow id stamped on trace events *)
   (* Unboxed float state. Mutable float fields in this mixed record
      would box on every store, and three of these are stored per packet
      or per ACK. Slots: 0 = base rate (bytes/s), 1 = current MI
@@ -133,6 +134,7 @@ let create (config : config) (env : Sender.env) =
     rng = env.rng;
     mtu = env.mtu;
     trace = env.trace;
+    flow = env.flow;
     fl =
       (let r0 = Units.mbps_to_bytes_per_sec config.initial_rate_mbps in
        [| r0; 0.0; r0; 0.05; 0.0; 0.0; neg_infinity |]);
@@ -332,7 +334,7 @@ let handle_result t tag (m : Mi.metrics) =
      (each would box a [Some] cell, and [~now] a float, per MI). *)
   let u =
     if Trace.enabled t.trace then
-      Utility.eval ~trace:t.trace ~now:t.fl.(5) t.utility m
+      Utility.eval ~trace:t.trace ~flow:t.flow ~now:t.fl.(5) t.utility m
     else Utility.eval t.utility m
   in
   (match t.observer with
@@ -349,7 +351,7 @@ let handle_result t tag (m : Mi.metrics) =
       handle_move_result t ~rate_trialled ~u
   | _, (Start | Probe _ | Move _ | Filler) -> ());
   if Trace.enabled t.trace then
-    Trace.emit t.trace ~time:t.fl.(5) ~kind:Trace.Rate_decision ~flow:(-1)
+    Trace.emit t.trace ~time:t.fl.(5) ~kind:Trace.Rate_decision ~flow:t.flow
       ~seq:t.completed_mis ~a:u
       ~b:(Units.bytes_per_sec_to_mbps t.fl.(0))
       ~note:(tag_name tag)
@@ -398,7 +400,7 @@ let close_current t ~now =
   | Some (mi, tag) ->
       Mi.close mi ~end_time:now;
       if Trace.enabled t.trace then
-        Trace.emit t.trace ~time:now ~kind:Trace.Mi_boundary ~flow:(-1)
+        Trace.emit t.trace ~time:now ~kind:Trace.Mi_boundary ~flow:t.flow
           ~seq:(Mi.id mi)
           ~a:(now -. Mi.start_time mi)
           ~b:(float_of_int (Mi.packets_sent mi))
@@ -450,20 +452,24 @@ let[@inline] close_if_expired t ~now =
   | Some _ when now >= t.fl.(1) -> close_current t ~now
   | _ -> ()
 
-(* ---------- Sender.S ---------- *)
+(* ---------- Sender.S ----------
 
-let next_send t ~now =
-  ignore (ensure_current_mi t ~now);
-  t.fl.(4)
+   The scratch layout is Sender's: 0 = now, 1 = send_time, 2 = rtt,
+   3 = next-send result. *)
 
-let on_sent t ~now ~seq ~size =
+let next_send_m t ~meta =
+  ignore (ensure_current_mi t ~now:meta.(0));
+  meta.(3) <- t.fl.(4)
+
+let on_sent_m t ~meta ~seq ~size =
+  let now = meta.(0) in
   let ((mi, _) as p) = ensure_current_mi t ~now in
   Mi.record_sent mi ~size;
   Seq_table.replace t.in_flight seq p;
-  t.fl.(4) <-
-    Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
+  t.fl.(4) <- Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
 
-let[@inline] on_ack_impl t ~now ~seq ~send_time ~rtt =
+let on_ack_m t ~meta ~seq ~size:_ =
+  let now = meta.(0) and send_time = meta.(1) and rtt = meta.(2) in
   t.fl.(5) <- now;
   t.fl.(3) <- (0.875 *. t.fl.(3)) +. (0.125 *. rtt);
   let sample =
@@ -480,10 +486,8 @@ let[@inline] on_ack_impl t ~now ~seq ~send_time ~rtt =
     check_complete t mi tag
   end
 
-let on_ack t ~now ~seq ~send_time ~size:_ ~rtt =
-  on_ack_impl t ~now ~seq ~send_time ~rtt
-
-let[@inline] on_loss_impl t ~now ~seq =
+let on_loss_m t ~meta ~seq ~size:_ =
+  let now = meta.(0) in
   t.fl.(5) <- now;
   close_if_expired t ~now;
   let i = Seq_table.find_slot t.in_flight seq in
@@ -494,38 +498,12 @@ let[@inline] on_loss_impl t ~now ~seq =
     check_complete t mi tag
   end
 
-let on_loss t ~now ~seq ~send_time:_ ~size:_ = on_loss_impl t ~now ~seq
-
-(* Native Sender.S_meta entry points (scratch layout: 0 = now,
-   1 = send_time, 2 = rtt, 3 = next-send result). All four read [meta]
-   directly and share [@inline] bodies with the boxed entry points, so
-   no float is boxed at the call boundary on either protocol. *)
-let next_send_m t ~meta =
-  ignore (ensure_current_mi t ~now:meta.(0));
-  meta.(3) <- t.fl.(4)
-
-let on_sent_m t ~meta ~seq ~size =
-  let now = meta.(0) in
-  let ((mi, _) as p) = ensure_current_mi t ~now in
-  Mi.record_sent mi ~size;
-  Seq_table.replace t.in_flight seq p;
-  t.fl.(4) <- Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
-
-let on_ack_m t ~meta ~seq ~size:_ =
-  on_ack_impl t ~now:meta.(0) ~seq ~send_time:meta.(1) ~rtt:meta.(2)
-
-let on_loss_m t ~meta ~seq ~size:_ = on_loss_impl t ~now:meta.(0) ~seq
-
-let factory config : Proteus_net.Sender.factory =
+let factory config : Sender.factory =
  fun env ->
   Sender.pack_meta (module struct
     type nonrec t = t
 
     let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
     let next_send_m = next_send_m
     let on_sent_m = on_sent_m
     let on_ack_m = on_ack_m

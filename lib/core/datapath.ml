@@ -1,8 +1,8 @@
 (* CCP-style datapath/control split: congestion control as a fold
    program over per-ACK primitive signals plus an off-datapath control
    handler consuming reports. The adapter at the bottom lowers any
-   (program, handler) pair onto Sender.S and the unboxed meta protocol;
-   see datapath.mli for the cost discipline. *)
+   (program, handler) pair onto Sender.S; see datapath.mli for the cost
+   discipline. *)
 
 module Sender = Proteus_net.Sender
 module Trace = Proteus_obs.Trace
@@ -228,13 +228,6 @@ type actions = { mutable a_cwnd : float; mutable a_rate_pps : float }
 
 type handler = report -> actions -> unit
 
-module type CONTROL = sig
-  type t
-
-  val create : Proteus_net.Sender.env -> program -> t
-  val on_report : t -> report -> actions -> unit
-end
-
 (* ---------- the adapter ---------- *)
 
 (* Adapter scalars live in [fl] (a float array, so mutation is an
@@ -255,12 +248,9 @@ type st = {
   rep : report; (* reused for every report *)
   act : actions; (* reused; fields reset to NaN after application *)
   trace : Trace.t;
+  flow : int; (* flow id stamped on trace events *)
   fl : float array;
   trig_last : float array; (* per-trigger last fire time (Every) *)
-  sc : float array;
-      (* Scratch for the boxed entry points: length 4, so the shared
-         impls see "no runner-supplied signals" and fall back to the
-         adapter-side estimates. *)
   mutable last_seq : int;
   mutable rep_count : int;
 }
@@ -288,7 +278,7 @@ let[@inline never] fire st cause =
       if Float.is_nan st.act.a_cwnd then st.regs.(st.prog.p_cwnd)
       else st.act.a_cwnd
     in
-    Trace.emit st.trace ~time:now ~kind:Trace.Rate_decision ~flow:(-1)
+    Trace.emit st.trace ~time:now ~kind:Trace.Rate_decision ~flow:st.flow
       ~seq:st.rep.rp_seq ~a:code ~b:cw ~note
   end
 
@@ -342,36 +332,9 @@ let check_triggers st ~loss =
     if st.rep_count <> before then after_reports st
   end
 
-(* The window check reads the cwnd register directly; a NaN window
-   compares false and blocks (never a NaN next-send time). Pacing only
-   engages once a handler installed a positive rate. *)
-let[@inline] next_send_impl st ~meta =
-  let fl = st.fl in
-  meta.(3) <-
-    (if Array.unsafe_get fl af_inflight < Array.unsafe_get st.regs st.prog.p_cwnd
-     then begin
-       let now = meta.(0) in
-       let p = Array.unsafe_get fl af_pace in
-       if p > now then p else now
-     end
-     else infinity)
-
-let[@inline] sent_impl st ~meta ~size =
-  let fl = st.fl in
-  Array.unsafe_set fl af_inflight (Array.unsafe_get fl af_inflight +. 1.0);
-  Array.unsafe_set fl af_sent
-    (Array.unsafe_get fl af_sent +. float_of_int size);
-  if Float.is_nan (Array.unsafe_get fl af_first) then
-    Array.unsafe_set fl af_first meta.(0);
-  let r = Array.unsafe_get fl af_rate in
-  if r > 0.0 then
-    Array.unsafe_set fl af_pace
-      (Float.max meta.(0) (Array.unsafe_get fl af_pace) +. (1.0 /. r))
-
 (* Rate and inflight signals: prefer the runner-supplied slots when the
-   caller's meta array carries them (see Sender.S_meta, slots 4 and 5);
-   the boxed path and any 4-slot caller fall back to the adapter-side
-   estimates. *)
+   caller's meta array carries them (see Sender, slots 4 and 5); any
+   4-slot caller falls back to the adapter-side estimates. *)
 let[@inline] fill_rates st ~meta ~now =
   let fl = st.fl and sigs = st.sigs in
   let elapsed = now -. Array.unsafe_get fl af_first in
@@ -393,37 +356,6 @@ let[@inline] fill_rates st ~meta ~now =
     (if Array.length meta > 4 then meta.(4) else Array.unsafe_get fl af_inflight);
   sigs.(ix_now) <- now
 
-let ack_impl st ~meta ~seq ~size =
-  let fl = st.fl and sigs = st.sigs in
-  (* Decrement before the fold, exactly like the monolithic
-     controllers' on_ack. *)
-  Array.unsafe_set fl af_inflight
-    (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
-  let szf = float_of_int size in
-  Array.unsafe_set fl af_acked (Array.unsafe_get fl af_acked +. szf);
-  sigs.(ix_bytes_acked) <- szf;
-  sigs.(ix_bytes_misordered) <- (if seq < st.last_seq then szf else 0.0);
-  if seq > st.last_seq then st.last_seq <- seq;
-  sigs.(ix_lost) <- 0.0;
-  let rtt = meta.(2) in
-  sigs.(ix_rtt) <- rtt;
-  sigs.(ix_rtt_us) <- rtt *. 1e6;
-  fill_rates st ~meta ~now:meta.(0);
-  st.prog.p_on_ack st.regs sigs;
-  check_triggers st ~loss:false
-
-let loss_impl st ~meta ~size:_ =
-  let fl = st.fl and sigs = st.sigs in
-  Array.unsafe_set fl af_inflight
-    (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
-  sigs.(ix_bytes_acked) <- 0.0;
-  sigs.(ix_bytes_misordered) <- 0.0;
-  sigs.(ix_lost) <- 1.0;
-  (* rtt slots keep the previous ACK's sample (stale; documented). *)
-  fill_rates st ~meta ~now:meta.(0);
-  st.prog.p_on_loss st.regs sigs;
-  check_triggers st ~loss:true
-
 let make_st (env : Sender.env) prog h =
   (match validate_program prog with
   | Ok () -> ()
@@ -441,9 +373,9 @@ let make_st (env : Sender.env) prog h =
     rep = { rp_time = 0.0; rp_cause = Interval; rp_seq = 0; rp_regs = regs };
     act = { a_cwnd = Float.nan; a_rate_pps = Float.nan };
     trace = env.trace;
+    flow = env.flow;
     fl = [| 0.0; neg_infinity; 0.0; 0.0; 0.0; Float.nan |];
     trig_last = Array.make (Array.length prog.p_triggers) 0.0;
-    sc = Array.make 4 0.0;
     last_seq = -1;
     rep_count = 0;
   }
@@ -453,30 +385,62 @@ module M = struct
 
   let name t = t.prog.p_name
 
-  let next_send t ~now =
-    t.sc.(0) <- now;
-    next_send_impl t ~meta:t.sc;
-    t.sc.(3)
+  (* The window check reads the cwnd register directly; a NaN window
+     compares false and blocks (never a NaN next-send time). Pacing only
+     engages once a handler installed a positive rate. *)
+  let next_send_m st ~meta =
+    let fl = st.fl in
+    meta.(3) <-
+      (if Array.unsafe_get fl af_inflight < Array.unsafe_get st.regs st.prog.p_cwnd
+       then begin
+         let now = meta.(0) in
+         let p = Array.unsafe_get fl af_pace in
+         if p > now then p else now
+       end
+       else infinity)
 
-  let on_sent t ~now ~seq:_ ~size =
-    t.sc.(0) <- now;
-    sent_impl t ~meta:t.sc ~size
+  let on_sent_m st ~meta ~seq:_ ~size =
+    let fl = st.fl in
+    Array.unsafe_set fl af_inflight (Array.unsafe_get fl af_inflight +. 1.0);
+    Array.unsafe_set fl af_sent
+      (Array.unsafe_get fl af_sent +. float_of_int size);
+    if Float.is_nan (Array.unsafe_get fl af_first) then
+      Array.unsafe_set fl af_first meta.(0);
+    let r = Array.unsafe_get fl af_rate in
+    if r > 0.0 then
+      Array.unsafe_set fl af_pace
+        (Float.max meta.(0) (Array.unsafe_get fl af_pace) +. (1.0 /. r))
 
-  let on_ack t ~now ~seq ~send_time ~size ~rtt =
-    t.sc.(0) <- now;
-    t.sc.(1) <- send_time;
-    t.sc.(2) <- rtt;
-    ack_impl t ~meta:t.sc ~seq ~size
+  let on_ack_m st ~meta ~seq ~size =
+    let fl = st.fl and sigs = st.sigs in
+    (* Decrement before the fold, exactly like the monolithic
+       controllers' on_ack. *)
+    Array.unsafe_set fl af_inflight
+      (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
+    let szf = float_of_int size in
+    Array.unsafe_set fl af_acked (Array.unsafe_get fl af_acked +. szf);
+    sigs.(ix_bytes_acked) <- szf;
+    sigs.(ix_bytes_misordered) <- (if seq < st.last_seq then szf else 0.0);
+    if seq > st.last_seq then st.last_seq <- seq;
+    sigs.(ix_lost) <- 0.0;
+    let rtt = meta.(2) in
+    sigs.(ix_rtt) <- rtt;
+    sigs.(ix_rtt_us) <- rtt *. 1e6;
+    fill_rates st ~meta ~now:meta.(0);
+    st.prog.p_on_ack st.regs sigs;
+    check_triggers st ~loss:false
 
-  let on_loss t ~now ~seq:_ ~send_time ~size =
-    t.sc.(0) <- now;
-    t.sc.(1) <- send_time;
-    loss_impl t ~meta:t.sc ~size
-
-  let next_send_m t ~meta = next_send_impl t ~meta
-  let on_sent_m t ~meta ~seq:_ ~size = sent_impl t ~meta ~size
-  let on_ack_m t ~meta ~seq ~size = ack_impl t ~meta ~seq ~size
-  let on_loss_m t ~meta ~seq:_ ~size = loss_impl t ~meta ~size
+  let on_loss_m st ~meta ~seq:_ ~size:_ =
+    let fl = st.fl and sigs = st.sigs in
+    Array.unsafe_set fl af_inflight
+      (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
+    sigs.(ix_bytes_acked) <- 0.0;
+    sigs.(ix_bytes_misordered) <- 0.0;
+    sigs.(ix_lost) <- 1.0;
+    (* rtt slots keep the previous ACK's sample (stale; documented). *)
+    fill_rates st ~meta ~now:meta.(0);
+    st.prog.p_on_loss st.regs sigs;
+    check_triggers st ~loss:true
 end
 
 let to_factory ~program ~handler : Sender.factory =
@@ -484,13 +448,3 @@ let to_factory ~program ~handler : Sender.factory =
   let prog = program env in
   let h = handler env prog in
   Sender.pack_meta (module M) (make_st env prog h)
-
-module To_sender (C : CONTROL) = struct
-  let lower program : Sender.factory =
-   fun env ->
-    let prog = program env in
-    let c = C.create env prog in
-    Sender.pack_meta
-      (module M)
-      (make_st env prog (fun rep act -> C.on_report c rep act))
-end

@@ -10,12 +10,10 @@
       and installs a new congestion window / pacing rate through
       {!actions}.
 
-    {!To_sender} (and its dynamic twin {!to_factory}) lowers any
-    (program, handler) pair onto the packet simulator's
-    {!Proteus_net.Sender.S} interface — both the boxed entry points and
-    the unboxed [_m] meta protocol — so a fold program plugs into every
-    topology, bench and scenario exactly like a hand-written
-    controller.
+    {!to_factory} lowers any (program, handler) pair onto the packet
+    simulator's {!Proteus_net.Sender.S} interface, so a fold program
+    plugs into every topology, bench and scenario exactly like a
+    hand-written controller.
 
     {b Cost discipline.} The per-ACK path is allocation-free:
     registers and signals live in preallocated float arrays (unboxed
@@ -52,15 +50,15 @@ type signal =
           over the time since the first transmission. *)
   | Rate_incoming
       (** Delivery rate estimate, bytes/s: cumulative bytes delivered
-          over the time since the first transmission. Under the meta
-          protocol this uses the runner's receiver-side goodput
-          (duplicate ACK bytes excluded); on the boxed path it falls
-          back to the adapter's own ACK byte count (duplicates
-          included). *)
+          over the time since the first transmission. When the caller
+          supplies meta slot 5 (the runner does) this is the runner's
+          receiver-side goodput (duplicate ACK bytes excluded); a
+          4-slot caller gets the adapter's own ACK byte count
+          (duplicates included). *)
   | Inflight
-      (** Packets currently in flight. Under the meta protocol this is
-          the runner's authoritative ring occupancy; on the boxed path,
-          the adapter's own sent-minus-ACKed estimate. *)
+      (** Packets currently in flight: the runner's authoritative ring
+          occupancy when the caller supplies meta slot 4, else the
+          adapter's own sent-minus-ACKed estimate. *)
   | Now  (** Simulated time of this event, seconds. *)
 
 val num_signals : int
@@ -185,26 +183,10 @@ type actions = {
 type handler = report -> actions -> unit
 (** A control handler: runs synchronously when a trigger fires. *)
 
-(** The control side as a module: per-flow state built from the
-    sender's environment and the (override-applied) program. *)
-module type CONTROL = sig
-  type t
-
-  val create : Proteus_net.Sender.env -> program -> t
-  val on_report : t -> report -> actions -> unit
-end
-
 val to_factory :
   program:(Proteus_net.Sender.env -> program) ->
   handler:(Proteus_net.Sender.env -> program -> handler) ->
   Proteus_net.Sender.factory
-(** Dynamic lowering: closure-based handlers (the fuzzing harness'
-    entry point). Raises [Failure] at flow-creation time if the
-    program fails {!validate_program}. *)
-
-(** The adapter functor: lower a program source and a {!CONTROL}
-    module onto {!Proteus_net.Sender.S} + the unboxed meta protocol. *)
-module To_sender (C : CONTROL) : sig
-  val lower :
-    (Proteus_net.Sender.env -> program) -> Proteus_net.Sender.factory
-end
+(** Lower a program source and a handler source, both built per flow
+    from the sender's environment. Raises [Failure] at flow-creation
+    time if the program fails {!validate_program}. *)

@@ -25,13 +25,14 @@ type t
 
 val name : t -> string
 
-val eval : ?trace:Proteus_obs.Trace.t -> ?now:float -> t -> Mi.metrics -> float
+val eval :
+  ?trace:Proteus_obs.Trace.t -> ?flow:int -> ?now:float -> t -> Mi.metrics -> float
 (** Evaluate on (noise-adjusted) MI metrics. The rate term uses the
     MI's achieved send rate. When [trace] (default disabled) is an
-    enabled bus, each evaluation publishes a [Utility_sample] event at
-    simulated time [now] ([a] = value, [b] = MI send rate in Mbps,
-    [note] = the function's name). Evaluation consumes no randomness
-    either way. *)
+    enabled bus, each evaluation publishes a [Utility_sample] event for
+    [flow] (default -1) at simulated time [now] ([a] = value, [b] = MI
+    send rate in Mbps, [note] = the function's name). Evaluation
+    consumes no randomness either way. *)
 
 val make : name:string -> (Mi.metrics -> float) -> t
 (** Register a custom utility function. *)

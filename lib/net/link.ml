@@ -350,9 +350,12 @@ let draw_loss t =
    but the outcome is an arrival time at the far end of the hop — no
    ACK machinery, no noise/reorder/dup, no FIFO ACK clamp. Those knobs
    remain dumbbell-only; a multi-hop route models the reverse direction
-   with explicit reverse-hop links instead. *)
+   with explicit reverse-hop links instead.
 
-type fwd_outcome = Fwd_arrival of float | Fwd_dropped
+   The per-packet entry points ([transmit_into], [forward],
+   [ack_transit]) take their times in and hand them back through the
+   caller's scratch [out]: a float argument or result of an out-of-line
+   call is boxed. *)
 
 (* Outage-window lookahead shared by [forward] and [transmit]: advance
    [dep0] past every drain window it crosses, or detect a flush window
@@ -385,26 +388,30 @@ let[@inline] lookahead t ~now dep0 =
     if !flushed then Float.nan else !departure
   end
 
-let forward t ~now ~size =
+let forward t ~size ~out =
+  let now = out.(0) in
   sync t ~now;
   if
     t.out_idx < Array.length t.out_start
     && t.out_start.(t.out_idx) <= now
     && now < t.out_end.(t.out_idx)
-  then Fwd_dropped
-  else if draw_loss t then Fwd_dropped
-  else if draw_fluid_loss t then Fwd_dropped
+  then false
+  else if draw_loss t then false
+  else if draw_fluid_loss t then false
   else begin
     let sizef = float_of_int size in
     let free_at = t.fl.(0) in
     let wait = free_at -. now in
     if ((if wait > 0.0 then wait else 0.0) *. t.cap_eff) +. sizef > packet_buffer t
-    then Fwd_dropped
+    then false
     else begin
       let start = if now >= free_at then now else free_at in
       let departure = lookahead t ~now (start +. (sizef /. t.cap_eff)) in
-      if Float.is_nan departure then Fwd_dropped
-      else Fwd_arrival (departure +. t.prop_one_way)
+      if Float.is_nan departure then false
+      else begin
+        out.(0) <- departure +. t.prop_one_way;
+        true
+      end
     end
   end
 
@@ -415,19 +422,22 @@ let forward t ~now ~size =
    synced at simulated-now only: [at] may lie in the future, and
    syncing to it would apply impairments early. Because [free_at] is
    nondecreasing over successive calls, ACK order is preserved. *)
-let ack_transit t ~now ~at =
-  sync t ~now;
-  (if at >= t.fl.(0) then at else t.fl.(0))
-  +. (float_of_int Units.ack_bytes /. t.cap_eff)
-  +. t.prop_one_way
+let ack_transit t ~out =
+  sync t ~now:out.(0);
+  let at = out.(1) in
+  out.(1) <-
+    (if at >= t.fl.(0) then at else t.fl.(0))
+    +. (float_of_int Units.ack_bytes /. t.cap_eff)
+    +. t.prop_one_way
 
 (* Allocation-free variant of [transmit] for the per-packet hot path:
-   the outcome is written into the caller's reusable scratch [out]
-   instead of a fresh variant. Returns [true] (delivered: out.(0) =
+   [now] arrives in out.(0) and the outcome is written into the same
+   reusable scratch instead of a fresh variant. Returns [true] (delivered: out.(0) =
    ack_time, out.(1) = rtt, out.(2) = dup_ack_time or NaN) or [false]
    (dropped: out.(0) = notify_time). Identical admission sequence and
    RNG draws to [transmit], which is now a wrapper. *)
-let transmit_into t ~now ~size ~out =
+let transmit_into t ~size ~out =
+  let now = out.(0) in
   sync t ~now;
   if
     t.out_idx < Array.length t.out_start
@@ -468,7 +478,7 @@ let transmit_into t ~now ~size ~out =
         let nominal_ack = if base >= t.fl.(1) then base else t.fl.(1) in
         t.fl.(1) <- nominal_ack;
         let ack_time =
-          Noise.ack_delivery_time t.noise ~now ~nominal:nominal_ack
+          Noise.ack_delivery_time t.noise ~nominal:nominal_ack
         in
         let ack_time =
           if Rng.bernoulli t.rng ~p:t.reorder_prob then
@@ -487,7 +497,7 @@ let transmit_into t ~now ~size ~out =
   end
 
 let transmit t ~now ~size =
-  let out = [| 0.0; 0.0; 0.0 |] in
-  if transmit_into t ~now ~size ~out then
+  let out = [| now; 0.0; 0.0 |] in
+  if transmit_into t ~size ~out then
     Delivered { ack_time = out.(0); rtt = out.(1); dup_ack_time = out.(2) }
   else Dropped { notify_time = out.(0) }

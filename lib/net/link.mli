@@ -129,10 +129,11 @@ val transmit : t -> now:float -> size:int -> outcome
 (** Offer a packet to the link at time [now]. Calls must be made in
     nondecreasing [now] order (simulated time). *)
 
-val transmit_into : t -> now:float -> size:int -> out:float array -> bool
-(** Allocation-free {!transmit} for per-packet hot paths: the outcome
-    lands in the caller's reusable scratch [out] (length >= 3) instead
-    of a fresh {!outcome}. [true]: delivered — [out.(0)] is the ACK
+val transmit_into : t -> size:int -> out:float array -> bool
+(** Allocation-free {!transmit} for per-packet hot paths: the offer
+    time [now] comes in [out.(0)] and the outcome lands in the same
+    reusable scratch (length >= 3) instead of a fresh {!outcome}, so no
+    float crosses the call. [true]: delivered — [out.(0)] is the ACK
     arrival time, [out.(1)] the RTT sample, [out.(2)] the duplicate-ACK
     time or NaN when no duplicate was drawn. [false]: dropped —
     [out.(0)] is the loss-notification time. Identical admission
@@ -148,22 +149,20 @@ val transmit_into : t -> now:float -> size:int -> out:float array -> bool
     noise/reorder/dup knobs are dumbbell-only and ignored on these
     paths. *)
 
-type fwd_outcome =
-  | Fwd_arrival of float
-      (** Packet reaches the far end of the hop at this time. *)
-  | Fwd_dropped  (** Lost on this hop (outage, random loss or tail drop). *)
+val forward : t -> size:int -> out:float array -> bool
+(** One-way analogue of {!transmit_into}: offer a packet to this hop at
+    the time in [out.(0)] (nondecreasing across calls). [true]: it
+    reaches the far end of the hop at the time now in [out.(0)];
+    [false]: lost on this hop (outage, random loss or tail drop). *)
 
-val forward : t -> now:float -> size:int -> fwd_outcome
-(** One-way analogue of {!transmit}: offer a packet to this hop at time
-    [now] (nondecreasing across calls). *)
-
-val ack_transit : t -> now:float -> at:float -> float
+val ack_transit : t -> out:float array -> unit
 (** Delivery time at the far end for an ACK that reaches this hop at
-    [at] ([>= now], possibly in the future). The ACK waits behind the
-    hop's data backlog as of [now], pays [Units.ack_bytes] of
-    serialization and one propagation delay; ACKs are never dropped and
-    never queue-build. [now] must be simulated-now — the impairment
-    schedule is synced to it, not to [at]. *)
+    [out.(1)] ([>= out.(0)], possibly in the future), written back to
+    [out.(1)]. [out.(0)] must be simulated-now: the impairment schedule
+    is synced to it, not to the arrival. The ACK waits behind the hop's
+    data backlog as of now, pays [Units.ack_bytes] of serialization and
+    one propagation delay; ACKs are never dropped and never
+    queue-build. *)
 
 (** {2 Fluid background tier}
 

@@ -107,7 +107,7 @@ let ack_delivery_time_slow t =
    boxing at the [transmit] call site. Everything else — jitter models,
    and the slack window where [nominal] dips below the last value —
    takes the out-of-line slow path with identical semantics. *)
-let[@inline] ack_delivery_time t ~now:_ ~nominal =
+let[@inline] ack_delivery_time t ~nominal =
   match t.spec with
   | None_ when nominal >= t.fl.(1) ->
       t.fl.(1) <- nominal;

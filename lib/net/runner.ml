@@ -62,10 +62,11 @@ type t = {
   lanes : Sim.lane array; (* one per link, same ids *)
   root_rng : Rng.t;
   trace : Trace.t;
-  (* Reusable scratch for [Link.transmit_into] outcomes. *)
+  (* Reusable scratch carrying times into and out of the per-packet
+     [Link] calls ([transmit_into], [forward], [ack_transit]). *)
   link_out : float array;
   (* Reusable scratch for the [Sender] unboxed call protocol (see
-     [Sender.S_meta]): 0 = now, 1 = send_time, 2 = rtt, 3 = next-send
+     [Sender.S]): 0 = now, 1 = send_time, 2 = rtt, 3 = next-send
      result, 4 = in-flight packets, 5 = delivered bytes (the two
      runner-supplied datapath signals). Safe to share across flows —
      each event handler fills it before the sender call it guards, and
@@ -248,33 +249,39 @@ let admit_hop t f idx =
     Trace.emit t.trace ~time:now ~kind:Trace.Queue_sample ~flow:f.id ~seq:0
       ~a:(Link.backlog_bytes link ~now)
       ~b:(float_of_int link_id) ~note:"";
-  match Link.forward link ~now ~size with
-  | Link.Fwd_arrival at ->
-      (match t.audit with
-      | Some a -> Audit.on_hop_enter a ~link:link_id ~now
-      | None -> ());
-      sched_link t ~link:link_id ~time:at ~fn:f.hop_fn ~arg:idx
-  | Link.Fwd_dropped ->
-      (match t.audit with
-      | Some a -> Audit.on_hop_drop a ~link:link_id ~now
-      | None -> ());
-      let notify = ref (now +. Link.queue_delay link ~now) in
-      for j = k to Array.length f.route_fwd - 1 do
-        notify := !notify +. Link.one_way_delay t.links.(f.route_fwd.(j))
-      done;
-      for j = 0 to Array.length f.route_rev - 1 do
-        notify := !notify +. Link.one_way_delay t.links.(f.route_rev.(j))
-      done;
-      sched_link t ~link:link_id ~time:!notify ~fn:f.loss_fn ~arg:idx
+  let out = t.link_out in
+  out.(0) <- now;
+  if Link.forward link ~size ~out then begin
+    let at = out.(0) in
+    (match t.audit with
+    | Some a -> Audit.on_hop_enter a ~link:link_id ~now
+    | None -> ());
+    sched_link t ~link:link_id ~time:at ~fn:f.hop_fn ~arg:idx
+  end
+  else begin
+    (match t.audit with
+    | Some a -> Audit.on_hop_drop a ~link:link_id ~now
+    | None -> ());
+    let notify = ref (now +. Link.queue_delay link ~now) in
+    for j = k to Array.length f.route_fwd - 1 do
+      notify := !notify +. Link.one_way_delay t.links.(f.route_fwd.(j))
+    done;
+    for j = 0 to Array.length f.route_rev - 1 do
+      notify := !notify +. Link.one_way_delay t.links.(f.route_rev.(j))
+    done;
+    sched_link t ~link:link_id ~time:!notify ~fn:f.loss_fn ~arg:idx
+  end
 
 let deliver_multi t f idx =
   (* The packet just reached the receiver; walk the reverse route. *)
-  let now = Sim.now t.sim in
-  let ack = ref now in
+  let out = t.link_out in
+  out.(0) <- Sim.now t.sim;
+  out.(1) <- out.(0);
   for j = 0 to Array.length f.route_rev - 1 do
-    ack := Link.ack_transit t.links.(f.route_rev.(j)) ~now ~at:!ack
+    Link.ack_transit t.links.(f.route_rev.(j)) ~out
   done;
-  Array.unsafe_set f.ring_rtt idx (!ack -. Array.unsafe_get f.ring_send idx);
+  let ack = out.(1) in
+  Array.unsafe_set f.ring_rtt idx (ack -. Array.unsafe_get f.ring_send idx);
   (* ACK times on a reverse path are clamped by the last reverse link's
      [free_at] (nondecreasing), so that link's lane is the natural home;
      routes without reverse links deliver at [now], which is trivially
@@ -284,7 +291,7 @@ let deliver_multi t f idx =
       f.route_rev.(Array.length f.route_rev - 1)
     else f.route_fwd.(Array.length f.route_fwd - 1)
   in
-  sched_link t ~link:lk ~time:!ack ~fn:f.ack_fn ~arg:idx
+  sched_link t ~link:lk ~time:ack ~fn:f.ack_fn ~arg:idx
 
 let on_hop_event t f idx =
   let k = Array.unsafe_get f.ring_hop idx in
@@ -348,7 +355,8 @@ and transmit t f budget =
   Array.unsafe_set f.ring_size idx size;
   (if t.classic then begin
      let out = t.link_out in
-     if Link.transmit_into t.links.(0) ~now ~size ~out then begin
+     out.(0) <- now;
+     if Link.transmit_into t.links.(0) ~size ~out then begin
        Array.unsafe_set f.ring_rtt idx out.(1);
        sched_link t ~link:0 ~time:out.(0) ~fn:f.ack_fn ~arg:idx;
        let dup_ack_time = out.(2) in
@@ -527,17 +535,18 @@ let add_flow ?(start = 0.0) ?stop ?size_bytes ?on_complete ?on_ack_bytes ?route
         invalid_arg
           "Runner.add_flow: a multi-hop topology needs an explicit ~route"
   in
+  let id = t.next_id in
+  t.next_id <- id + 1;
   let env =
     {
       Sender.rng = Rng.split t.root_rng;
       mtu = Units.mtu;
       trace = t.trace;
       hops = Array.length route_fwd;
+      flow = id;
     }
   in
   let bytes = match size_bytes with Some b -> b | None -> -1 in
-  let id = t.next_id in
-  t.next_id <- id + 1;
   let f =
     {
       label;

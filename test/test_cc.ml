@@ -1,9 +1,25 @@
-(* Tests for the baseline congestion controllers. Unit tests drive the
-   Sender.S callbacks directly; integration tests run flows through the
-   simulator. *)
+(* Tests for the baseline congestion controllers. Unit tests drive one
+   controller instance through Sender's convenience calls; integration
+   tests run flows through the simulator. *)
 
 open Proteus_net
 module Cc = Proteus_cc
+
+(* Float-argument calls on a controller instance, through a packed view
+   of it. *)
+module Calls (M : Sender.S) = struct
+  let pack v = Sender.pack_meta (module M) v
+  let next_send v = Sender.next_send (pack v)
+  let on_sent v = Sender.on_sent (pack v)
+  let on_ack v = Sender.on_ack (pack v)
+  let on_loss v = Sender.on_loss (pack v)
+end
+
+module Cubic = struct include Cc.Cubic include Calls (Cc.Cubic) end
+module Ledbat = struct include Cc.Ledbat include Calls (Cc.Ledbat) end
+module Bbr = struct include Cc.Bbr include Calls (Cc.Bbr) end
+module Reno = struct include Cc.Reno include Calls (Cc.Reno) end
+module Vegas = struct include Cc.Vegas include Calls (Cc.Vegas) end
 
 let env () = Sender.make_env ~rng:(Proteus_stats.Rng.create ~seed:1) ~mtu:1500 ()
 
@@ -17,34 +33,34 @@ let test_cubic_slow_start_growth () =
   let c = Cc.Cubic.create (env ()) in
   let w0 = Cc.Cubic.cwnd_packets c in
   for seq = 0 to 9 do
-    Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
-    Cc.Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
+    Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
+    Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
   done;
   check_float "ss +1 per ack" (w0 +. 10.0) (Cc.Cubic.cwnd_packets c)
 
 let test_cubic_loss_halves_ish () =
   let c = Cc.Cubic.create (env ()) in
   for seq = 0 to 19 do
-    Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
-    Cc.Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
+    Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
+    Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
   done;
   let before = Cc.Cubic.cwnd_packets c in
-  Cc.Cubic.on_sent c ~now:0.1 ~seq:20 ~size:1500;
-  Cc.Cubic.on_loss c ~now:0.1 ~seq:20 ~send_time:0.1 ~size:1500;
+  Cubic.on_sent c ~now:0.1 ~seq:20 ~size:1500;
+  Cubic.on_loss c ~now:0.1 ~seq:20 ~send_time:0.1 ~size:1500;
   check_float ~eps:1e-6 "beta reduction" (before *. 0.7)
     (Cc.Cubic.cwnd_packets c)
 
 let test_cubic_one_reduction_per_rtt () =
   let c = Cc.Cubic.create (env ()) in
   for seq = 0 to 19 do
-    Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
-    Cc.Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
+    Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
+    Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
   done;
   let before = Cc.Cubic.cwnd_packets c in
   (* Burst of losses within one RTT: only one decrease. *)
   for seq = 20 to 25 do
-    Cc.Cubic.on_sent c ~now:0.1 ~seq ~size:1500;
-    Cc.Cubic.on_loss c ~now:0.1001 ~seq ~send_time:0.1 ~size:1500
+    Cubic.on_sent c ~now:0.1 ~seq ~size:1500;
+    Cubic.on_loss c ~now:0.1001 ~seq ~send_time:0.1 ~size:1500
   done;
   check_float ~eps:1e-6 "single halving" (before *. 0.7)
     (Cc.Cubic.cwnd_packets c)
@@ -53,9 +69,9 @@ let test_cubic_blocks_at_window () =
   let c = Cc.Cubic.create (env ()) in
   let sent = ref 0 in
   let rec send seq =
-    let time = Cc.Cubic.next_send c ~now:0.0 in
+    let time = Cubic.next_send c ~now:0.0 in
     if time <= 0.0 then begin
-      Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
+      Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
       incr sent;
       if seq < 100 then send (seq + 1)
     end
@@ -71,8 +87,8 @@ let test_ledbat_ramps_below_target () =
   let w0 = Cc.Ledbat.cwnd_packets l in
   (* Constant low RTT: queuing delay 0, off_target 1, cwnd grows. *)
   for seq = 0 to 49 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
+    Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
+    Ledbat.on_ack l
       ~now:((float_of_int seq *. 0.01) +. 0.02)
       ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
   done;
@@ -83,15 +99,15 @@ let test_ledbat_backs_off_above_target () =
   (* Establish base delay of 20 ms, then ram delay up to 200 ms: above
      the 100 ms target, the window must shrink. *)
   for seq = 0 to 19 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
+    Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
+    Ledbat.on_ack l
       ~now:((float_of_int seq *. 0.01) +. 0.02)
       ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
   done;
   let peak = Cc.Ledbat.cwnd_packets l in
   for seq = 20 to 59 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
+    Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
+    Ledbat.on_ack l
       ~now:((float_of_int seq *. 0.01) +. 0.2)
       ~seq ~send_time:0.0 ~size:1500 ~rtt:0.2
   done;
@@ -101,11 +117,11 @@ let test_ledbat_backs_off_above_target () =
 
 let test_ledbat_base_delay_tracks_min () =
   let l = Cc.Ledbat.create (env ()) in
-  Cc.Ledbat.on_sent l ~now:0.0 ~seq:0 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.1 ~seq:0 ~send_time:0.0 ~size:1500 ~rtt:0.1;
+  Ledbat.on_sent l ~now:0.0 ~seq:0 ~size:1500;
+  Ledbat.on_ack l ~now:0.1 ~seq:0 ~send_time:0.0 ~size:1500 ~rtt:0.1;
   check_float "base = first" 0.1 (Cc.Ledbat.base_delay l);
-  Cc.Ledbat.on_sent l ~now:0.2 ~seq:1 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.23 ~seq:1 ~send_time:0.2 ~size:1500 ~rtt:0.03;
+  Ledbat.on_sent l ~now:0.2 ~seq:1 ~size:1500;
+  Ledbat.on_ack l ~now:0.23 ~seq:1 ~send_time:0.2 ~size:1500 ~rtt:0.03;
   check_float "base tracks min" 0.03 (Cc.Ledbat.base_delay l)
 
 let test_ledbat_latecomer_sees_inflated_base () =
@@ -113,8 +129,8 @@ let test_ledbat_latecomer_sees_inflated_base () =
      base-delay estimate — the root of the latecomer advantage. *)
   let l = Cc.Ledbat.create (env ()) in
   for seq = 0 to 9 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l ~now:(float_of_int seq +. 0.13) ~seq ~send_time:0.0
+    Ledbat.on_sent l ~now:(float_of_int seq) ~seq ~size:1500;
+    Ledbat.on_ack l ~now:(float_of_int seq +. 0.13) ~seq ~send_time:0.0
       ~size:1500 ~rtt:0.13
   done;
   check_float "inflated base" 0.13 (Cc.Ledbat.base_delay l)
@@ -122,14 +138,14 @@ let test_ledbat_latecomer_sees_inflated_base () =
 let test_ledbat_loss_halves () =
   let l = Cc.Ledbat.create (env ()) in
   for seq = 0 to 49 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
+    Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
+    Ledbat.on_ack l
       ~now:((float_of_int seq *. 0.01) +. 0.02)
       ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
   done;
   let before = Cc.Ledbat.cwnd_packets l in
-  Cc.Ledbat.on_sent l ~now:1.0 ~seq:50 ~size:1500;
-  Cc.Ledbat.on_loss l ~now:1.0 ~seq:50 ~send_time:1.0 ~size:1500;
+  Ledbat.on_sent l ~now:1.0 ~seq:50 ~size:1500;
+  Ledbat.on_loss l ~now:1.0 ~seq:50 ~send_time:1.0 ~size:1500;
   check_float ~eps:1e-6 "halved" (before /. 2.0) (Cc.Ledbat.cwnd_packets l)
 
 let test_ledbat_name_carries_target () =
@@ -158,9 +174,9 @@ let test_bbr_estimates_on_clean_link () =
   List.iter
     (fun (time, ev) ->
       match ev with
-      | `Send seq -> Cc.Bbr.on_sent b ~now:time ~seq ~size:1500
+      | `Send seq -> Bbr.on_sent b ~now:time ~seq ~size:1500
       | `Ack seq ->
-          Cc.Bbr.on_ack b ~now:time ~seq ~send_time:(time -. 0.02) ~size:1500
+          Bbr.on_ack b ~now:time ~seq ~send_time:(time -. 0.02) ~size:1500
             ~rtt:0.02)
     events;
   check_float ~eps:0.02 "rtprop" 0.02 (Cc.Bbr.rtprop_estimate b);
@@ -170,10 +186,10 @@ let test_bbr_estimates_on_clean_link () =
 
 let test_bbr_paces () =
   let b = Cc.Bbr.create (env ()) in
-  if Cc.Bbr.next_send b ~now:0.0 > 0.0 then
+  if Bbr.next_send b ~now:0.0 > 0.0 then
     Alcotest.fail "first packet immediate";
-  Cc.Bbr.on_sent b ~now:0.0 ~seq:0 ~size:1500;
-  let t = Cc.Bbr.next_send b ~now:0.0 in
+  Bbr.on_sent b ~now:0.0 ~seq:0 ~size:1500;
+  let t = Bbr.next_send b ~now:0.0 in
   if not (Float.is_finite t && t > 0.0) then Alcotest.fail "no pacing gap"
 
 (* ---------- Reno ---------- *)
@@ -181,23 +197,23 @@ let test_bbr_paces () =
 let test_reno_slow_start_then_ca () =
   let r = Cc.Reno.create (env ()) in
   for seq = 0 to 9 do
-    Cc.Reno.on_sent r ~now:0.0 ~seq ~size:1500;
-    Cc.Reno.on_ack r ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
+    Reno.on_sent r ~now:0.0 ~seq ~size:1500;
+    Reno.on_ack r ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
   done;
   check_float "ss" 20.0 (Cc.Reno.cwnd_packets r);
-  Cc.Reno.on_sent r ~now:0.1 ~seq:10 ~size:1500;
-  Cc.Reno.on_loss r ~now:0.1 ~seq:10 ~send_time:0.1 ~size:1500;
+  Reno.on_sent r ~now:0.1 ~seq:10 ~size:1500;
+  Reno.on_loss r ~now:0.1 ~seq:10 ~send_time:0.1 ~size:1500;
   check_float "halved" 10.0 (Cc.Reno.cwnd_packets r);
   (* Congestion avoidance: +1/cwnd per ack. *)
-  Cc.Reno.on_sent r ~now:0.3 ~seq:11 ~size:1500;
-  Cc.Reno.on_ack r ~now:0.35 ~seq:11 ~send_time:0.3 ~size:1500 ~rtt:0.05;
+  Reno.on_sent r ~now:0.3 ~seq:11 ~size:1500;
+  Reno.on_ack r ~now:0.35 ~seq:11 ~send_time:0.3 ~size:1500 ~rtt:0.05;
   check_float ~eps:1e-9 "ca" 10.1 (Cc.Reno.cwnd_packets r)
 
 let test_reno_min_cwnd_floor () =
   let r = Cc.Reno.create (env ()) in
   for i = 0 to 9 do
-    Cc.Reno.on_sent r ~now:(float_of_int i) ~seq:i ~size:1500;
-    Cc.Reno.on_loss r ~now:(float_of_int i +. 0.5) ~seq:i ~send_time:0.0
+    Reno.on_sent r ~now:(float_of_int i) ~seq:i ~size:1500;
+    Reno.on_loss r ~now:(float_of_int i +. 0.5) ~seq:i ~send_time:0.0
       ~size:1500
   done;
   if Cc.Reno.cwnd_packets r < 2.0 then Alcotest.fail "window below floor"
@@ -208,8 +224,8 @@ let feed_vegas v ~rtt ~from_seq ~count ~start ~spacing =
   for i = 0 to count - 1 do
     let seq = from_seq + i in
     let now = start +. (float_of_int i *. spacing) in
-    Cc.Vegas.on_sent v ~now ~seq ~size:1500;
-    Cc.Vegas.on_ack v ~now:(now +. rtt) ~seq ~send_time:now ~size:1500 ~rtt
+    Vegas.on_sent v ~now ~seq ~size:1500;
+    Vegas.on_ack v ~now:(now +. rtt) ~seq ~send_time:now ~size:1500 ~rtt
   done
 
 let test_vegas_ramps_when_uncongested () =
@@ -232,8 +248,8 @@ let test_vegas_loss_reduces () =
   let v = Cc.Vegas.create (env ()) in
   feed_vegas v ~rtt:0.03 ~from_seq:0 ~count:50 ~start:0.0 ~spacing:0.01;
   let before = Cc.Vegas.cwnd_packets v in
-  Cc.Vegas.on_sent v ~now:2.0 ~seq:999 ~size:1500;
-  Cc.Vegas.on_loss v ~now:2.0 ~seq:999 ~send_time:2.0 ~size:1500;
+  Vegas.on_sent v ~now:2.0 ~seq:999 ~size:1500;
+  Vegas.on_loss v ~now:2.0 ~seq:999 ~send_time:2.0 ~size:1500;
   check_float ~eps:1e-6 "3/4" (before *. 0.75) (Cc.Vegas.cwnd_packets v)
 
 (* ---------- BBR state machine ---------- *)
@@ -245,8 +261,8 @@ let test_bbr_probe_rtt_on_stale_rtprop () =
   let probed = ref false in
   for seq = 0 to 1400 do
     let now = float_of_int seq *. 0.01 in
-    Cc.Bbr.on_sent b ~now ~seq ~size:1500;
-    Cc.Bbr.on_ack b ~now:(now +. 0.02) ~seq ~send_time:now ~size:1500
+    Bbr.on_sent b ~now ~seq ~size:1500;
+    Bbr.on_ack b ~now:(now +. 0.02) ~seq ~send_time:now ~size:1500
       ~rtt:(0.02 +. (0.000005 *. float_of_int seq));
     if Cc.Bbr.is_probing_rtt b then probed := true
   done;
@@ -339,20 +355,20 @@ let test_ledbat_off_target_proportional () =
      half the max ramp (GAIN * off_target * bytes / cwnd). *)
   let l = Cc.Ledbat.create (env ()) in
   (* Base delay 20 ms. *)
-  Cc.Ledbat.on_sent l ~now:0.0 ~seq:0 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.02 ~seq:0 ~send_time:0.0 ~size:1500 ~rtt:0.02;
+  Ledbat.on_sent l ~now:0.0 ~seq:0 ~size:1500;
+  Ledbat.on_ack l ~now:0.02 ~seq:0 ~send_time:0.0 ~size:1500 ~rtt:0.02;
   (* Queuing 50 ms = half the 100 ms target. The RFC's current-delay
      filter takes the min of the last 4 samples, so burn three 70 ms
      samples in first. *)
   for seq = 1 to 3 do
-    Cc.Ledbat.on_sent l ~now:(0.1 *. float_of_int seq) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
+    Ledbat.on_sent l ~now:(0.1 *. float_of_int seq) ~seq ~size:1500;
+    Ledbat.on_ack l
       ~now:((0.1 *. float_of_int seq) +. 0.07)
       ~seq ~send_time:(0.1 *. float_of_int seq) ~size:1500 ~rtt:0.07
   done;
   let w0 = Cc.Ledbat.cwnd_packets l in
-  Cc.Ledbat.on_sent l ~now:0.5 ~seq:4 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.57 ~seq:4 ~send_time:0.5 ~size:1500 ~rtt:0.07;
+  Ledbat.on_sent l ~now:0.5 ~seq:4 ~size:1500;
+  Ledbat.on_ack l ~now:0.57 ~seq:4 ~send_time:0.5 ~size:1500 ~rtt:0.07;
   let gain = Cc.Ledbat.cwnd_packets l -. w0 in
   check_float ~eps:1e-9 "half ramp" (0.5 /. w0) gain
 
@@ -361,14 +377,14 @@ let test_ledbat_decrease_clamped () =
      packet per ack (the RFC's decrease clamp). *)
   let l = Cc.Ledbat.create (env ()) in
   for seq = 0 to 29 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
+    Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
+    Ledbat.on_ack l
       ~now:((float_of_int seq *. 0.01) +. 0.02)
       ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
   done;
   let before = Cc.Ledbat.cwnd_packets l in
-  Cc.Ledbat.on_sent l ~now:1.0 ~seq:99 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:3.0 ~seq:99 ~send_time:1.0 ~size:1500 ~rtt:2.0;
+  Ledbat.on_sent l ~now:1.0 ~seq:99 ~size:1500;
+  Ledbat.on_ack l ~now:3.0 ~seq:99 ~send_time:1.0 ~size:1500 ~rtt:2.0;
   if before -. Cc.Ledbat.cwnd_packets l > 1.0 +. 1e-9 then
     Alcotest.failf "decrease %f exceeds one packet"
       (before -. Cc.Ledbat.cwnd_packets l)
@@ -378,15 +394,15 @@ let test_ledbat_25_yields_earlier_than_100 () =
      LEDBAT-100 is under target (grows). *)
   let drive l =
     for seq = 0 to 9 do
-      Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-      Cc.Ledbat.on_ack l
+      Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
+      Ledbat.on_ack l
         ~now:((float_of_int seq *. 0.01) +. 0.02)
         ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
     done;
     let w = Cc.Ledbat.cwnd_packets l in
     for seq = 10 to 19 do
-      Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-      Cc.Ledbat.on_ack l
+      Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
+      Ledbat.on_ack l
         ~now:((float_of_int seq *. 0.01) +. 0.08)
         ~seq ~send_time:0.0 ~size:1500 ~rtt:0.08
     done;

@@ -1,7 +1,7 @@
 (* Datapath fold-program tests.
 
-   Three layers: (1) fold semantics units driven through the adapter's
-   boxed Sender interface — register init, update/report ordering,
+   Three layers: (1) fold semantics units driven through Sender's
+   float-argument calls (a 4-slot meta scratch) — register init, update/report ordering,
    volatile reset, loss-trigger edges, interval triggers, NaN-window
    safety; (2) golden digest parity: cubic-dp and ledbat-dp must be
    byte-identical to their monolithic twins and to committed goldens on

@@ -88,12 +88,12 @@ let test_schedule_validation () =
 
 let test_noise_nondecreasing_precondition () =
   let n = Noise.create Noise.default_wifi ~rng:(Rng.create ~seed:2) in
-  ignore (Noise.ack_delivery_time n ~now:0.0 ~nominal:10.0);
+  ignore (Noise.ack_delivery_time n ~nominal:10.0);
   expect_invalid "decreasing nominal" (fun () ->
-      Noise.ack_delivery_time n ~now:0.0 ~nominal:5.0);
+      Noise.ack_delivery_time n ~nominal:5.0);
   (* Equal and slightly-larger nominals stay legal. *)
-  ignore (Noise.ack_delivery_time n ~now:0.0 ~nominal:10.0);
-  ignore (Noise.ack_delivery_time n ~now:0.0 ~nominal:10.001)
+  ignore (Noise.ack_delivery_time n ~nominal:10.0);
+  ignore (Noise.ack_delivery_time n ~nominal:10.001)
 
 (* ---------- Gilbert–Elliott loss ---------- *)
 

@@ -298,18 +298,21 @@ let words f =
   f ();
   Gc.minor_words () -. w0
 
-(* Minor words per acknowledged packet of two CUBIC flows over 3 sim-s
-   of a clean dumbbell, with or without the auditor. *)
-let cubic_words_per_pkt ~audited =
-  let r =
-    Runner.create ~seed:7
-      (Link.config ~bandwidth_mbps:100.0 ~rtt_ms:30.0 ~buffer_bytes:375_000 ())
+(* Minor words per acknowledged packet of two flows of [factory] over
+   3 sim-s of a clean 100 Mb/s, 30 ms path: the dumbbell by default, or
+   a 2-hop chain (forward hops and mirrored reverse hops). *)
+let words_per_pkt ?(audited = false) ?(chain = false) factory =
+  let cfg = Link.config ~bandwidth_mbps:100.0 ~rtt_ms:30.0 ~buffer_bytes:375_000 () in
+  let r, route =
+    if chain then
+      let half = Link.config ~bandwidth_mbps:100.0 ~rtt_ms:15.0 ~buffer_bytes:375_000 () in
+      let topo = Topology.chain [ half; half ] in
+      (Runner.create_topo ~seed:7 topo, Some (Topology.chain_route topo))
+    else (Runner.create ~seed:7 cfg, None)
   in
   if audited then ignore (Runner.attach_audit r);
   let flows =
-    List.map
-      (fun label -> Runner.add_flow r ~label ~factory:(Proteus_cc.Cubic.factory ()))
-      [ "a"; "b" ]
+    List.map (fun label -> Runner.add_flow r ?route ~label ~factory:(factory ())) [ "a"; "b" ]
   in
   Runner.run r ~until:1.0;
   let acked () =
@@ -318,6 +321,8 @@ let cubic_words_per_pkt ~audited =
   let a0 = acked () in
   let w = words (fun () -> Runner.run r ~until:4.0) in
   w /. float_of_int (acked () - a0)
+
+let cubic_words_per_pkt ~audited = words_per_pkt ~audited Proteus_cc.Cubic.factory
 
 (* The auditor's per-packet work (two table operations, the event ring,
    the clock and backlog checks) allocates nothing; what it may add in
@@ -405,7 +410,7 @@ let test_wifi_noise_gc_guard () =
   let out = Array.make 1 0.0 in
   let draw i =
     out.(0) <-
-      Noise.ack_delivery_time n ~now:0.0 ~nominal:(0.0001 *. float_of_int i)
+      Noise.ack_delivery_time n ~nominal:(0.0001 *. float_of_int i)
   in
   for i = 0 to 999 do
     draw i
@@ -426,6 +431,51 @@ let test_wifi_noise_gc_guard () =
     Alcotest.failf "Wi-Fi noise allocates %.2f minor words per draw (bound 10)"
       per_draw
 
+(* The sender boundary: a controller reached through [Sender.packed]
+   pays no boxing of its own at the call. Reno does the per-packet work
+   of CUBIC (a window check, an increment, an EWMA) and reads the same
+   meta slots; what it may add is its record's own boxing: an int
+   counter sits among its floats, so its two float stores per ACK (the
+   window and the smoothed RTT) box, 4 words, where CUBIC's all-float
+   record stores in place. When Reno was reached through an adapter
+   that boxed the floats of every call, it allocated 16 more words per
+   packet than CUBIC here. *)
+let sender_allowance = 4.0
+
+let test_sender_gc_guard () =
+  let cubic = words_per_pkt Proteus_cc.Cubic.factory in
+  let reno = words_per_pkt Proteus_cc.Reno.factory in
+  if reno -. cubic > sender_allowance +. 0.5 then
+    Alcotest.failf
+      "reno allocates %.2f minor words per packet more than cubic (%.2f vs \
+       %.2f); allowance %.1f"
+      (reno -. cubic) reno cubic sender_allowance
+
+(* The runner's calls into [Link]: event and ACK times travel in the
+   runner's scratch array ([Link.transmit_into], [Link.forward],
+   [Link.ack_transit]), so no float is boxed on the way into a link or
+   back. On a 2-hop chain a packet's ACK crosses two forward and two
+   reverse hops; what it may still add over the dumbbell in this
+   profile is the kernel's boxing for its two extra hop events: the
+   [Sim.now] result at the second hop's admission and at delivery, at
+   the first hop's admission (the dumbbell reads the clock once per
+   send), and the arrival time pushed on the second hop's lane — four
+   floats, 8 words. When the hop calls took and returned floats (and
+   [forward] returned its arrival time in a variant), the chain added
+   20 words per packet here. (The dumbbell's boxed [~now] showed only
+   in optimised builds, where [Sim.now] is inlined: 2 words per
+   packet.) *)
+let hop_allowance = 8.0
+
+let test_link_gc_guard () =
+  let dumbbell = words_per_pkt Proteus_cc.Cubic.factory in
+  let chain = words_per_pkt ~chain:true Proteus_cc.Cubic.factory in
+  if chain -. dumbbell > hop_allowance +. 0.5 then
+    Alcotest.failf
+      "the 2-hop chain allocates %.2f minor words per packet more than the \
+       dumbbell (%.2f vs %.2f); allowance %.1f"
+      (chain -. dumbbell) chain dumbbell hop_allowance
+
 let suite =
   [
     ("seq table rejects negative keys", `Quick, test_seq_table_rejects_negative);
@@ -433,5 +483,7 @@ let suite =
     ("auditor Gc guard", `Quick, test_audit_gc_guard);
     ("Proteus-S Gc guard", `Quick, test_proteus_s_gc_guard);
     ("Wi-Fi noise Gc guard", `Quick, test_wifi_noise_gc_guard);
+    ("sender boundary Gc guard", `Quick, test_sender_gc_guard);
+    ("runner-to-link Gc guard", `Quick, test_link_gc_guard);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_seq_table; prop_audit ]

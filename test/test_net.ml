@@ -101,13 +101,13 @@ let test_link_loss_notification_after_rtt () =
 
 let test_noise_none_identity () =
   let n = Noise.create Noise.None_ ~rng:(Rng.create ~seed:1) in
-  check_float "identity" 42.0 (Noise.ack_delivery_time n ~now:0.0 ~nominal:42.0)
+  check_float "identity" 42.0 (Noise.ack_delivery_time n ~nominal:42.0)
 
 let test_noise_delays_only () =
   let n = Noise.create Noise.default_wifi ~rng:(Rng.create ~seed:2) in
   for i = 1 to 1000 do
     let nominal = float_of_int i *. 0.01 in
-    let d = Noise.ack_delivery_time n ~now:0.0 ~nominal in
+    let d = Noise.ack_delivery_time n ~nominal in
     if d < nominal -. 1e-12 then Alcotest.fail "noise delivered early"
   done
 
@@ -118,7 +118,7 @@ let test_noise_gaussian_magnitude () =
   let extras =
     Array.init 2000 (fun i ->
         let nominal = float_of_int i in
-        Noise.ack_delivery_time n ~now:0.0 ~nominal -. nominal)
+        Noise.ack_delivery_time n ~nominal -. nominal)
   in
   let mean = Proteus_stats.Descriptive.mean extras in
   (* |N(0, 2ms)| has mean sigma*sqrt(2/pi) ~ 1.6 ms *)

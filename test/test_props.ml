@@ -127,7 +127,7 @@ let test_wifi_gate_orders_acks () =
   let violations = ref 0 in
   for i = 1 to 5000 do
     let nominal = float_of_int i *. 0.002 in
-    let d = Net.Noise.ack_delivery_time n ~now:0.0 ~nominal in
+    let d = Net.Noise.ack_delivery_time n ~nominal in
     (* Jitter can reorder slightly, but the gate may only delay. *)
     if d < nominal then incr violations;
     prev := d
@@ -145,7 +145,7 @@ let test_lte_quantizes_to_frames () =
            outage_max_ms = 0.0 })
       ~rng:(Rng.create ~seed:1)
   in
-  let d = Net.Noise.ack_delivery_time n ~now:0.0 ~nominal:0.00137 in
+  let d = Net.Noise.ack_delivery_time n ~nominal:0.00137 in
   if Float.abs (d -. 0.002) > 1e-9 then
     Alcotest.failf "not frame-aligned: %f" d
 
@@ -153,7 +153,7 @@ let test_lte_never_early_and_bounded () =
   let n = Net.Noise.create Net.Noise.default_lte ~rng:(Rng.create ~seed:2) in
   for i = 1 to 5000 do
     let nominal = float_of_int i *. 0.003 in
-    let d = Net.Noise.ack_delivery_time n ~now:0.0 ~nominal in
+    let d = Net.Noise.ack_delivery_time n ~nominal in
     if d < nominal then Alcotest.fail "lte delivered early";
     if d > nominal +. 0.06 then Alcotest.failf "lte delay too large: %f" (d -. nominal)
   done
@@ -242,11 +242,12 @@ let test_controller_pacing_gap () =
       (Proteus.Controller.default_config ~utility:(Proteus.Utility.proteus_p ()))
       env
   in
+  let s = Net.Sender.pack_meta (module Proteus.Controller) c in
   (* Initial rate 2 Mbps = 250 kB/s: one packet per 6 ms. *)
-  if Proteus.Controller.next_send c ~now:0.0 > 0.0 then
+  if Net.Sender.next_send s ~now:0.0 > 0.0 then
     Alcotest.fail "first packet immediate";
-  Proteus.Controller.on_sent c ~now:0.0 ~seq:0 ~size:1500;
-  let t = Proteus.Controller.next_send c ~now:0.0 in
+  Net.Sender.on_sent s ~now:0.0 ~seq:0 ~size:1500;
+  let t = Net.Sender.next_send s ~now:0.0 in
   if not (Float.is_finite t && t > 0.0) then
     Alcotest.fail "expected paced send";
   if Float.abs (t -. 0.006) > 1e-9 then
@@ -262,21 +263,25 @@ let test_trace_records_and_detaches () =
   in
   let r = Net.Runner.create link in
   let _ = Net.Runner.add_flow r ~label:"t" ~factory in
-  let trace = Proteus.Trace.attach (Option.get (get ())) in
+  let c = Option.get (get ()) in
+  (* (time, controller rate in Mbps) of each completed MI, newest first. *)
+  let samples = ref [] in
+  Proteus.Controller.set_mi_observer c
+    (Some (fun ~now _ ~utility:_ ~rate_mbps -> samples := (now, rate_mbps) :: !samples));
   Net.Runner.run r ~until:10.0;
-  let n = Proteus.Trace.length trace in
+  let n = List.length !samples in
   if n = 0 then Alcotest.fail "no samples recorded";
   (* Rate series is time-ordered and the controller converges upward. *)
-  let series = Proteus.Trace.rate_series trace in
+  let series = List.rev !samples in
   let times = List.map fst series in
   if List.sort compare times <> times then Alcotest.fail "series unordered";
-  (match Proteus.Trace.time_to_rate trace ~rate_mbps:15.0 with
-  | Some t when t > 0.0 && t < 10.0 -> ()
-  | Some t -> Alcotest.failf "odd convergence time %f" t
+  (match List.find_opt (fun (_, rate) -> rate >= 15.0) series with
+  | Some (t, _) when t > 0.0 && t < 10.0 -> ()
+  | Some (t, _) -> Alcotest.failf "odd convergence time %f" t
   | None -> Alcotest.fail "never converged to 15 Mbps");
-  Proteus.Trace.detach trace;
+  Proteus.Controller.set_mi_observer c None;
   Net.Runner.run r ~until:12.0;
-  Alcotest.(check int) "no samples after detach" n (Proteus.Trace.length trace)
+  Alcotest.(check int) "no samples after detach" n (List.length !samples)
 
 (* ---------- Units ---------- *)
 
